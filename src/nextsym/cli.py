@@ -2,7 +2,7 @@
 
 Subcommands: ``simulate`` (run an experiment config, write metrics.csv,
 tails.csv and manifest.json), ``estimate`` (stream a sequence file through
-the estimator), ``verify`` (scanning-vs-streaming equivalence suite) and
+the estimator), ``verify`` (scanning, streaming and kernel equivalence suite) and
 ``lemmas`` (the three statistical lemma checks).
 
 Exit codes: 0 success, 1 runtime failure (including a failed verification),
@@ -203,7 +203,7 @@ def cmd_verify(args) -> int:
     if report.ok:
         print(
             f"equivalence ok: {report.cases} sequences, "
-            f"{report.prefixes_checked} prefixes, scanning == streaming bit-for-bit"
+            f"{report.prefixes_checked} prefixes, scanning == streaming == kernel bit-for-bit"
         )
         return 0
     print("equivalence FAILED; first counterexample:", file=sys.stderr)
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--final-only", action="store_true", dest="final_only", help="print only the last position")
     est.set_defaults(func=cmd_estimate)
 
-    ver = sub.add_parser("verify", help="scanning-vs-streaming equivalence suite")
+    ver = sub.add_parser("verify", help="scanning, streaming and kernel equivalence suite")
     ver.add_argument("--max-n", type=int, default=2000, dest="max_n")
     ver.add_argument("--cases", type=int, default=200)
     ver.add_argument("--seed", type=int, default=2026)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 
-from .estimator import PayoffFunction, Schedules, schedule_J, schedule_K
+from .estimator import ConstantSchedule, LinearJ, LogK, PayoffFunction, Schedules, schedule_J
 from .harness import ExperimentConfig
 from .processes import HiddenMarkovProcess, IIDProcess, MarkovProcess, ProcessSpec
 from .sequences import Alphabet
@@ -42,12 +42,28 @@ def load_document(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
+    _reject_non_finite(doc, "")
     return doc
+
+
+def _reject_non_finite(value, path: str) -> None:
+    """Raise with the field path of the first NaN or infinite number, whether
+    it was written as a literal (NaN, Infinity) or overflowed (1e999)."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_non_finite(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_non_finite(item, f"{path}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path or 'config'} must be a finite number, got {value!r}")
 
 
 def _number(value, path: str, *, integer: bool = False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
     if integer:
         if not isinstance(value, int):
             raise ConfigError(f"{path} must be an integer, got {value!r}")
@@ -115,50 +131,6 @@ def build_process(doc: dict) -> ProcessSpec:
         raise ConfigError(f"process: {exc}") from exc
 
 
-class _ScaledLogK:
-    """K(n) = max(1, floor(coeff * log_base(n))); exact path for coeff 0.1."""
-
-    __slots__ = ("base", "coeff")
-
-    def __init__(self, base: int, coeff: float):
-        self.base = base
-        self.coeff = coeff
-
-    def __call__(self, n: int) -> int:
-        if self.coeff == 0.1:
-            return schedule_K(n, self.base)
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return max(1, int(self.coeff * math.log(n) / math.log(self.base) + 1e-9))
-
-
-class _ConstantSchedule:
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __call__(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return self.value
-
-
-class _LinearJ:
-    """J(n) = max(1, ceil(coeff * n)); violates J/n -> 0 on purpose when
-    coeff is positive, which the lemma checks must detect."""
-
-    __slots__ = ("coeff",)
-
-    def __init__(self, coeff: float):
-        self.coeff = coeff
-
-    def __call__(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return max(1, math.ceil(self.coeff * n))
-
-
 def build_schedules(doc: dict, alphabet: Alphabet, path: str = "schedules") -> Schedules:
     section = doc.get("schedules", {})
     if not isinstance(section, dict):
@@ -177,12 +149,15 @@ def build_schedules(doc: dict, alphabet: Alphabet, path: str = "schedules") -> S
             base = _number(k_desc.get("base", alphabet.size), f"{path}.K.base", integer=True)
             if coeff <= 0 or base < 2:
                 raise ConfigError(f"{path}.K needs coeff > 0 and base >= 2")
-            k_fn = _ScaledLogK(base, coeff)
+            try:
+                k_fn = LogK(base, coeff)
+            except ValueError as exc:
+                raise ConfigError(f"{path}.K.coeff: {exc}") from exc
         elif kind == "constant":
             value = _number(k_desc.get("value"), f"{path}.K.value", integer=True)
             if value < 1:
                 raise ConfigError(f"{path}.K.value must be >= 1")
-            k_fn = _ConstantSchedule(value)
+            k_fn = ConstantSchedule(value)
         else:
             raise ConfigError(f"{path}.K.kind must be log or constant, got {kind!r}")
 
@@ -199,12 +174,12 @@ def build_schedules(doc: dict, alphabet: Alphabet, path: str = "schedules") -> S
             coeff = _number(j_desc.get("coeff", 1.0), f"{path}.J.coeff")
             if coeff <= 0:
                 raise ConfigError(f"{path}.J.coeff must be positive")
-            j_fn = _LinearJ(coeff)
+            j_fn = LinearJ(coeff)
         elif kind == "constant":
             value = _number(j_desc.get("value"), f"{path}.J.value", integer=True)
             if value < 1:
                 raise ConfigError(f"{path}.J.value must be >= 1")
-            j_fn = _ConstantSchedule(value)
+            j_fn = ConstantSchedule(value)
         else:
             raise ConfigError(f"{path}.J.kind must be sqrt/linear/constant, got {kind!r}")
     return Schedules(K=k_fn, J=j_fn)

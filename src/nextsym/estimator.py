@@ -16,6 +16,7 @@ occurrences count separately.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,6 +32,9 @@ __all__ = [
     "DistributionEstimate",
     "schedule_K",
     "schedule_J",
+    "LogK",
+    "ConstantSchedule",
+    "LinearJ",
     "recurrence_times",
     "context_length",
     "occurrence_count",
@@ -43,25 +47,8 @@ __all__ = [
 
 
 def schedule_K(n: int, alphabet_size: int) -> int:
-    """Default context-length cap: max(1, floor(0.1 * log_base(n))).
-
-    The floor sits exactly on integer boundaries when n is a power of the
-    alphabet size, where floating logs are unreliable, so the float value
-    only proposes a candidate and integer power comparisons settle it.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if alphabet_size < 2:
-        raise ValueError("alphabet_size must be >= 2")
-    b = alphabet_size
-    if n < b ** 10:
-        return 1
-    m = int(0.1 * math.log(n) / math.log(b) + 1e-9)
-    while b ** (10 * (m + 1)) <= n:
-        m += 1
-    while m > 1 and b ** (10 * m) > n:
-        m -= 1
-    return m
+    """Default context-length cap: max(1, floor(0.1 * log_base(n))), exact."""
+    return LogK(alphabet_size, 0.1).value(n)
 
 
 def schedule_J(n: int) -> int:
@@ -79,7 +66,9 @@ class Schedules:
     Both must be nondecreasing and tend to infinity for the consistency
     results to apply (and J(n)/n -> 0 for the context length to diverge).
     Custom schedules are accepted; the defaults are :func:`schedule_K` and
-    :func:`schedule_J`.
+    :func:`schedule_J`.  A schedule object may also define ``values(lo, hi)``,
+    its values for n in [lo, hi) as an int64 array, which the replay kernel
+    then uses instead of one call per n.
     """
 
     K: Callable[[int], int]
@@ -89,48 +78,152 @@ class Schedules:
     def default(cls, alphabet_size: int) -> "Schedules":
         if alphabet_size < 2:
             raise ValueError("alphabet_size must be >= 2")
-        return cls(K=_LogK(alphabet_size), J=schedule_J)
+        return cls(K=LogK(alphabet_size, 0.1), J=schedule_J)
 
 
-class _LogK:
-    """Picklable wrapper binding schedule_K to an alphabet size.
+def _decimal_ratio(x: float) -> tuple:
+    """(p, q) in lowest terms with p/q equal to the shortest decimal form of x > 0."""
+    mantissa, _, exponent = repr(float(x)).partition("e")
+    whole, _, frac = mantissa.partition(".")
+    p, q = int(whole + frac), 10 ** len(frac)
+    shift = int(exponent) if exponent else 0
+    if shift >= 0:
+        p *= 10**shift
+    else:
+        q *= 10**-shift
+    g = math.gcd(p, q)
+    return p // g, q // g
 
-    schedule_K is a step function, constant between consecutive powers
-    base^(10m); the last bracket is cached so streaming queries with slowly
-    growing n avoid recomputing integer powers.
+
+_MAX_LOG_NUMERATOR = 10_000
+
+
+class LogK:
+    """K(n) = max(1, floor(coeff * log_base(n))), exact in integers.
+
+    The coefficient is read in its shortest decimal form p/q, so
+    K(n) >= m exactly when n^p >= base^(m*q); no floating log decides a
+    step.  The numerator p is capped at 10^4 so the integer comparison stays
+    cheap.  Scalar calls cache the bracket of n where the value holds, and
+    :meth:`values` evaluates a whole range from the step positions.
     """
 
-    __slots__ = ("alphabet_size", "_lo", "_hi", "_value")
+    __slots__ = ("base", "coeff", "_p", "_q", "_lo", "_hi", "_value")
 
-    def __init__(self, alphabet_size: int):
-        self.alphabet_size = alphabet_size
-        self._lo = 0
-        self._hi = 0
+    def __init__(self, base: int, coeff: float):
+        if base < 2:
+            raise ValueError("base must be >= 2")
+        if not 0 < coeff < math.inf:
+            raise ValueError("coeff must be a positive finite number")
+        p, q = _decimal_ratio(coeff)
+        if p > _MAX_LOG_NUMERATOR:
+            raise ValueError(
+                f"coeff {coeff!r} is p/q = {p}/{q} in lowest terms; p must be at most {_MAX_LOG_NUMERATOR}"
+            )
+        self.base = base
+        self.coeff = coeff
+        self._p, self._q = p, q
+        self._lo = self._hi = 0
         self._value = 1
+
+    def _reaches(self, n: int, m: int) -> bool:
+        """Whether K(n) >= m for m >= 2, i.e. n^p >= base^(m*q)."""
+        p, mq = self._p, m * self._q
+        bits_n, bits_b = n.bit_length(), self.base.bit_length()
+        # 2^(bits-1) <= x < 2^bits bounds both powers; compare exactly only when the bounds overlap
+        if p * bits_n <= mq * (bits_b - 1):
+            return False
+        if p * (bits_n - 1) >= mq * bits_b:
+            return True
+        return n**p >= self.base**mq
+
+    def value(self, n: int) -> int:
+        """K(n) without touching the bracket cache."""
+        n = operator.index(n)
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        m = max(1, int(self.coeff * math.log(n) / math.log(self.base)))
+        while self._reaches(n, m + 1):
+            m += 1
+        while m > 1 and not self._reaches(n, m):
+            m -= 1
+        return m
+
+    def _first(self, m: int, lo: int, hi: int) -> int:
+        """Smallest n in [lo, hi) with K(n) >= m, or hi when there is none."""
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._reaches(mid, m):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
     def __call__(self, n: int) -> int:
         if self._lo <= n < self._hi:
             return self._value
-        value = schedule_K(n, self.alphabet_size)
-        step = self.alphabet_size ** (10 * value)
-        self._lo = step if n >= step else 1
-        self._hi = step * (self.alphabet_size**10)
+        value = self.value(n)
+        self._lo = n
+        self._hi = self._first(value + 1, n + 1, max(n + 1, 1 << 64))
         self._value = value
         return value
 
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        """K(n) for n in [lo, hi) as an int64 array."""
+        out = np.full(hi - lo, self.value(lo), dtype=np.int64)
+        m = int(out[0]) + 1
+        while True:
+            step = self._first(m, lo, hi)
+            if step == hi:
+                return out
+            out[step - lo :] = m
+            m += 1
+
     def __eq__(self, other):
-        return isinstance(other, _LogK) and other.alphabet_size == self.alphabet_size
+        return isinstance(other, LogK) and (other.base, other._p, other._q) == (self.base, self._p, self._q)
 
     def __hash__(self):
-        return hash(("_LogK", self.alphabet_size))
+        return hash(("LogK", self.base, self._p, self._q))
 
-    def __getstate__(self):
-        return self.alphabet_size
+    def __reduce__(self):
+        return LogK, (self.base, self.coeff)
 
-    def __setstate__(self, state):
-        self.alphabet_size = state
-        self._lo = self._hi = 0
-        self._value = 1
+
+class ConstantSchedule:
+    """n -> value for every n >= 1."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __call__(self, n: int) -> int:
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        return self.value
+
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        return np.full(hi - lo, self.value, dtype=np.int64)
+
+
+class LinearJ:
+    """J(n) = max(1, ceil(coeff * n)); violates J/n -> 0 on purpose when
+    coeff is positive, which the lemma checks must detect."""
+
+    __slots__ = ("coeff",)
+
+    def __init__(self, coeff: float):
+        self.coeff = coeff
+
+    def __call__(self, n: int) -> int:
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        return max(1, math.ceil(self.coeff * n))
+
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        # float(n) * coeff rounds exactly as the scalar call does for n < 2^53
+        scaled = np.ceil(self.coeff * np.arange(lo, hi, dtype=np.float64))
+        return np.maximum(scaled, 1.0).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -286,7 +379,8 @@ def payoff_mean(hist: Sequence[int], values: Sequence[float], matches: int) -> f
 
     Both the scanning evaluator and the streaming index reduce their integer
     histograms through this one function, so equal histograms give
-    bit-identical floats.  The two rounding steps (product-sum, quotient) can
+    bit-identical floats; the kernel's column-wise
+    :func:`~nextsym.kernel.payoff_means` repeats its operations in order.  The two rounding steps (product-sum, quotient) can
     land one ulp outside the range of the observed payoffs; the result is
     clamped back so the range invariant holds exactly.
     """

@@ -1,10 +1,16 @@
 """Monte Carlo harness: consistency experiments and lemma checks.
 
-``run_experiment`` streams replicate trajectories through the incremental
-estimator, scores every step against the exact oracle (pointwise error for a
-payoff, total-variation distance in distribution mode) and keeps the running
-Cesaro average; rows are recorded on an evaluation grid and tail fractions
-per epsilon summarize the weak-consistency picture.
+``run_experiment`` generates each replicate trajectory whole, replays it in
+chunks through the kernel (:mod:`nextsym.kernel`, which computes the
+estimator's context length, match count and successor histogram at every
+position with array passes) and scores every step against the exact
+oracle's conditionals, column by column: pointwise error for a payoff,
+total-variation distance in distribution mode.  The arithmetic is the
+streaming route's, in the same order, so the rows are bit-identical to
+pushing and probing :class:`~nextsym.streaming.StreamingEstimator` one
+symbol at a time.  The running Cesaro average is a cumulative sum in time
+order; rows are recorded on an evaluation grid and tail fractions per
+epsilon summarize the weak-consistency picture.
 
 Abstentions are scored with the estimator's literal value 0 inside the
 Cesaro average (that is what the averaged theorem bounds), but each row
@@ -26,10 +32,9 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .estimator import PayoffFunction, Schedules, payoff_mean, recurrence_times
+from .estimator import PayoffFunction, Schedules, recurrence_times
 from .processes import Oracle, ProcessSpec, generate, stationary_block_law
 from .seeding import derive_seed
-from .streaming import _HIST, StreamingEstimator
 
 __all__ = [
     "ExperimentConfig",
@@ -96,8 +101,8 @@ class ExperimentConfig:
             raise ValueError("epsilons must not be empty")
         indicator_like = self.payoff is None or set(self.payoff.values) <= {0.0, 1.0}
         for eps in self.epsilons:
-            if eps <= 0:
-                raise ValueError("epsilons must be positive")
+            if not 0 < eps < math.inf:
+                raise ValueError("epsilons must be positive and finite")
             if indicator_like and eps > 1:
                 raise ValueError("epsilons must lie in (0, 1] for indicator payoffs")
         if self.payoff is not None and self.payoff.alphabet != self.spec.alphabet:
@@ -153,84 +158,82 @@ def _wilson_halfwidth(fraction: float, n: int) -> float:
     return (_Z95 * math.sqrt(fraction * (1.0 - fraction) / n + z2 / (4.0 * n * n))) / (1.0 + z2 / n)
 
 
+def _scores(part, cond: np.ndarray, payoff: PayoffFunction | None) -> tuple:
+    """Estimates and errors for one chunk replayed by the kernel against the
+    exact conditionals ``cond``, with the arithmetic of the streaming route:
+    the indicator shortcut, :func:`~nextsym.kernel.payoff_means`, or the
+    total-variation sum in alphabet order.  Abstentions estimate 0 (the
+    all-zero vector)."""
+    from .kernel import payoff_means
+
+    matches = part.matches
+    divisor = np.maximum(matches, 1)
+    if payoff is None:
+        est = part.hist / divisor[:, None]
+        total = 0.0
+        for s in range(cond.shape[1]):
+            total = total + np.abs(est[:, s] - cond[:, s])
+        return est, cond, 0.5 * total
+    values = payoff.values
+    z = _indicator_symbol(values)
+    if z is None:
+        oracle = 0.0
+        for s, v in enumerate(values):
+            oracle = oracle + cond[:, s] * v
+        est = payoff_means(part.hist, values, matches)
+    else:
+        oracle = cond[:, z]
+        est = np.where(matches > 0, part.hist[:, z] / divisor, 0.0)
+    return est, oracle, np.abs(est - oracle)
+
+
+def _indicator_symbol(values: tuple) -> int | None:
+    """The symbol an indicator payoff singles out, or None for other payoffs."""
+    if sorted(values) == [0.0] * (len(values) - 1) + [1.0]:
+        return values.index(1.0)
+    return None
+
+
 def _run_replicate(cfg: ExperimentConfig, replicate: int) -> list:
-    """Rows for one replicate; the per-step loop is the hot path and the
-    error stream feeds the Cesaro accumulator in time order."""
+    """Rows for one replicate: the trajectory is generated whole, replayed
+    in chunks by the kernel and scored column-wise against the exact
+    conditionals; the Cesaro sum adds the errors in time order."""
+    from . import kernel  # imported on first use, so commands that never replay load less at start-up
+
     seed = derive_seed(cfg.base_seed, replicate)
-    traj = generate(cfg.spec, seed, cfg.horizon)
-    est = StreamingEstimator(cfg.spec.alphabet, cfg.schedules, horizon=cfg.horizon)
-    cursor = Oracle(cfg.spec).cursor()
-    push = est.push
-    probe = est.probe
-    observe = cursor.observe
-    conditional = cursor.conditional
-    grid = cfg.eval_grid
-    gi = 0
-    next_grid = grid[0]
-    scalar = cfg.payoff is not None
-    gvals = cfg.payoff.values if scalar else None
-    # indicator payoffs reduce the estimate to one histogram cell and the
-    # oracle expectation to one conditional entry, with identical arithmetic
-    zi = None
-    if scalar and sorted(gvals) == [0.0] * (len(gvals) - 1) + [1.0]:
-        zi = gvals.index(1.0)
+    seq = generate(cfg.spec, seed, cfg.horizon).seq.as_array()
     size = cfg.spec.alphabet.size
+    rows_per_chunk = kernel.chunk_rows(size)
+    parts = kernel.replay(seq, size, cfg.schedules, chunk=rows_per_chunk)
+    conds = Oracle(cfg.spec).conditionals(seq, rows_per_chunk)
+    grid = np.array(cfg.eval_grid)
     rows: list = []
     err_sum = 0.0
-    n = 0
-    for x in traj.seq:
-        push(x)
-        observe(x)
-        hit = probe()
-        cond = conditional()
-        if scalar:
-            if zi is None:
-                o = 0.0
-                for p, v in zip(cond, gvals):
-                    o += p * v
+    for part, cond in zip(parts, conds):
+        est, oracle, err = _scores(part, cond, cfg.payoff)
+        before = np.cumsum(np.concatenate(([err_sum], err)))  # before[i]: errors summed over steps < start + i
+        stop = part.start + len(err)
+        for n in grid[(grid >= part.start) & (grid < stop)].tolist():
+            i = n - part.start
+            matches = int(part.matches[i])
+            if cfg.payoff is None:
+                est_out, oracle_out = tuple(est[i].tolist()), tuple(cond[i].tolist())
             else:
-                o = cond[zi]
-            if hit is None:
-                k = matches = 0
-                val = 0.0
-            elif zi is None:
-                k, matches, cell = hit
-                val = payoff_mean(cell[_HIST:], gvals, matches)
-            else:
-                k, matches, cell = hit
-                val = cell[_HIST + zi] / matches
-            err = val - o
-            if err < 0.0:
-                err = -err
-        else:
-            if hit is None:
-                k = matches = 0
-                err = 0.5 * sum(cond)  # TV against the all-zero abstention vector
-            else:
-                k, matches, cell = hit
-                s = 0.0
-                i = _HIST
-                for q in cond:
-                    d = cell[i] / matches - q
-                    s += d if d >= 0.0 else -d
-                    i += 1
-                err = 0.5 * s
-        if n == next_grid:
-            if scalar:
-                est_out, oracle_out = val, o
-            else:
-                oracle_out = cond
-                if hit is None:
-                    est_out = (0.0,) * size
-                else:
-                    est_out = tuple(c / matches for c in cell[_HIST:])
+                est_out, oracle_out = float(est[i]), float(oracle[i])
             rows.append(
-                MetricsRow(replicate, n, k, matches, hit is None, est_out, oracle_out, err, err_sum / n)
+                MetricsRow(
+                    replicate,
+                    n,
+                    int(part.kappa[i]),
+                    matches,
+                    matches == 0,
+                    est_out,
+                    oracle_out,
+                    float(err[i]),
+                    float(before[i]) / n,
+                )
             )
-            gi += 1
-            next_grid = grid[gi] if gi < len(grid) else -1
-        err_sum += err
-        n += 1
+        err_sum = float(before[-1])
     return rows
 
 
@@ -446,22 +449,14 @@ def check_kappa_divergence(
     all_positive = bool(law.min() > 0)
     per_grid: list[list[int]] = [[] for _ in grid]
     at_cap = 0
+    from . import kernel
+
     for r in range(replicates):
-        traj = generate(spec, derive_seed(base_seed, r), horizon)
-        est = StreamingEstimator(spec.alphabet, schedules, horizon=horizon)
-        push = est.push
-        probe = est.probe
-        gi = 0
-        next_grid = grid[0]
-        n = 0
-        for x in traj.seq:
-            push(x)
-            if n == next_grid:
-                hit = probe()
-                per_grid[gi].append(hit[0] if hit is not None else 0)
-                gi += 1
-                next_grid = grid[gi] if gi < len(grid) else -1
-            n += 1
+        seq = generate(spec, derive_seed(base_seed, r), horizon).seq.as_array()
+        parts = kernel.replay(seq, spec.alphabet.size, schedules, histogram=False)
+        kappa = np.concatenate([part.kappa for part in parts])
+        for values, n in zip(per_grid, grid):
+            values.append(int(kappa[n]))
         if per_grid[-1][-1] == final_cap:  # grid always ends at the horizon
             at_cap += 1
     fraction = at_cap / replicates

@@ -1,0 +1,265 @@
+"""Whole-trajectory replay of the forward estimator.
+
+When the whole segment X_0..X_N is known before estimation starts, every
+quantity the streaming index keeps can be computed with array passes instead
+of one push and one probe per symbol:
+
+- lambda_k[n] is the number of ends e < n whose length-k block equals the
+  block ending at n, an exclusive running count per block;
+- the successor histogram at n counts those ends by X_{e+1};
+- kappa[n] is the longest k <= min(K(n), n+1) with lambda_k[n] >= J(n), or 0
+  (abstain) at n = 0 and when no length qualifies.
+
+The segment is processed in fixed chunks, and the counts per block are
+carried from chunk to chunk.  Blocks are numbered one length at a time: the
+length-k block ending at e is keyed by (number of the length-(k-1) block
+ending at e-1, X_e), and numbers are handed out in order of first
+appearance, so keys stay below (N+1)*|A| for every k.  Within a chunk the
+ends of each block are found by one stable sort of the keys.
+
+K and J come as exact arrays (:func:`schedule_values`), and
+:func:`payoff_means` reduces the histograms with the scalar route's
+arithmetic.  Results equal the scanning evaluator and the streaming index
+bit for bit; :func:`nextsym.verify.verify_equivalence` checks all three
+routes.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Iterator, NamedTuple, Sequence
+
+import numpy as np
+
+from .estimator import Schedules, schedule_J
+
+__all__ = ["CHUNK", "Replayed", "chunk_rows", "payoff_means", "replay", "schedule_values"]
+
+CHUNK = 1 << 14  # positions per chunk for alphabets of up to four symbols; bounds the working set
+
+
+def chunk_rows(size: int) -> int:
+    """Positions per chunk: larger alphabets get shorter chunks, so the
+    per-chunk histogram and conditional arrays keep the same size."""
+    return max(1, CHUNK * 4 // max(size, 4))
+
+
+class Replayed(NamedTuple):
+    """Estimator state at positions ``start .. start + len(kappa) - 1``."""
+
+    start: int
+    kappa: np.ndarray  # matched context length, 0 when abstaining
+    matches: np.ndarray  # lambda at kappa, 0 when abstaining
+    hist: np.ndarray | None  # (rows, |A|) successor counts at kappa, zero rows when abstaining
+
+
+def schedule_values(fn: Callable[[int], int], lo: int, hi: int) -> np.ndarray:
+    """fn(n) for every n in [lo, hi) as an exact int64 array.
+
+    The default J is evaluated by a float square root corrected to the
+    integer one; schedules with a ``values`` method use it; any other
+    callable is called once per n.
+    """
+    if fn is schedule_J:
+        m = np.arange(lo - 1, hi - 1, dtype=np.int64)  # n - 1
+        r = np.sqrt(m).astype(np.int64)  # isqrt(n - 1), or one off it
+        r -= r * r > m
+        r += (r + 1) * (r + 1) <= m
+        return r + 1
+    values = getattr(fn, "values", None)
+    if values is not None:
+        return values(lo, hi)
+    return np.fromiter(map(fn, range(lo, hi)), dtype=np.int64, count=hi - lo)
+
+
+def payoff_means(hist: np.ndarray, values: Sequence[float], matches: np.ndarray) -> np.ndarray:
+    """:func:`~nextsym.estimator.payoff_mean` for every row of an integer histogram array, with
+    the same operations in the same order column by column, so each entry
+    is bit-identical to the scalar call on that row.  Rows with zero
+    matches (abstentions) give 0."""
+    total = np.zeros(len(matches))
+    lo = np.full(len(matches), np.inf)
+    hi = np.full(len(matches), -np.inf)
+    for s, v in enumerate(values):
+        c = hist[:, s]
+        seen = c != 0
+        total = np.where(seen, total + c * v, total)
+        lo = np.where(seen & (v < lo), v, lo)
+        hi = np.where(seen & (v > hi), v, hi)
+    mean = total / np.maximum(matches, 1)
+    mean = np.where(mean < lo, lo, np.where(mean > hi, hi, mean))
+    return np.where(matches > 0, mean, 0.0)
+
+
+def _sortable(keys: np.ndarray) -> np.ndarray:
+    """Keys in the narrowest unsigned type, where numpy's stable sort is a radix sort."""
+    top = int(keys.max())
+    if top < 1 << 8:
+        return keys.astype(np.uint8)
+    if top < 1 << 16:
+        return keys.astype(np.uint16)
+    return keys
+
+
+class _Blocks:
+    """Numbering and running counts of the blocks of one length.
+
+    ``seen[i]`` counts the ends of block i before the current chunk and
+    ``succ[i, s]`` those of them followed by symbol s.  :meth:`scan` groups
+    a chunk's ends by block; :meth:`histogram` and :meth:`absorb` reuse that
+    grouping.
+    """
+
+    __slots__ = ("size", "keys", "key_ids", "seen", "succ", "tail", "_chunk")
+
+    def __init__(self, size: int):
+        self.size = size
+        self.keys = np.empty(0, np.int64)  # sorted
+        self.key_ids = np.empty(0, np.int64)  # number of each key
+        self.seen = np.empty(0, np.int64)
+        self.succ = np.empty((0, size), np.int64)
+        self.tail = -1  # number of the block ending just before the chunk
+        self._chunk = None
+
+    def _number(self, uniq: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(self.keys, uniq)
+        known = pos < len(self.keys)
+        known[known] = self.keys[pos[known]] == uniq[known]
+        ids = np.empty(len(uniq), np.int64)
+        ids[known] = self.key_ids[pos[known]]
+        fresh = ~known
+        count = int(np.count_nonzero(fresh))
+        if count:
+            new_ids = np.arange(len(self.seen), len(self.seen) + count)
+            ids[fresh] = new_ids
+            self.keys = np.insert(self.keys, pos[fresh], uniq[fresh])
+            self.key_ids = np.insert(self.key_ids, pos[fresh], new_ids)
+            self.seen = np.concatenate([self.seen, np.zeros(count, np.int64)])
+            self.succ = np.concatenate([self.succ, np.zeros((count, self.size), np.int64)])
+        return ids
+
+    def scan(self, keys: np.ndarray, succ: np.ndarray) -> tuple:
+        """Block numbers and lambda at each end of the chunk, in order."""
+        order = np.argsort(_sortable(keys), kind="stable")
+        sorted_keys = keys[order]
+        new = np.empty(len(keys), dtype=bool)
+        new[0] = True
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        group = np.cumsum(new) - 1
+        gids = self._number(sorted_keys[starts])
+        ids_sorted = gids[group]
+        lam = np.empty(len(keys), np.int64)
+        lam[order] = self.seen[ids_sorted] + (np.arange(len(keys)) - starts[group])
+        ids = np.empty(len(keys), np.int64)
+        ids[order] = ids_sorted
+        self._chunk = (order, starts, group, gids, ids_sorted, succ[order])
+        self.tail = int(ids[-1])
+        return ids, lam
+
+    def histogram(self, at: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """Successor counts of the earlier ends of the block, at the chunk
+        positions selected by the mask ``at``; ``lam`` is their total."""
+        order, starts, group, _, ids_sorted, succ_sorted = self._chunk
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        where = rank[at]  # sorted positions of the selected ends
+        first = starts[group[where]]
+        ids = ids_sorted[where]
+        out = np.empty((len(where), self.size), np.int64)
+        rest = lam.copy()
+        for s in range(self.size - 1):
+            hit = succ_sorted == s
+            before = np.cumsum(hit) - hit  # hits strictly before each sorted position
+            out[:, s] = self.succ[ids, s] + (before[where] - before[first])
+            rest -= out[:, s]
+        out[:, -1] = rest  # every earlier end has a successor
+        return out
+
+    def absorb(self) -> None:
+        """Add the chunk's ends to the running counts."""
+        order, starts, group, gids, _, succ_sorted = self._chunk
+        self.seen[gids] += np.diff(np.append(starts, len(order)))
+        per = np.bincount(group * self.size + succ_sorted, minlength=len(starts) * self.size)
+        self.succ[gids] += per.reshape(-1, self.size)
+        self._chunk = None
+
+
+def _caps(schedules: Schedules, lo: int, hi: int) -> np.ndarray:
+    """min(K(n), n + 1) for n in [lo, hi), and 0 at n = 0."""
+    cap = np.zeros(hi - lo, np.int64)
+    first = max(lo, 1)
+    if first < hi:
+        k = schedule_values(schedules.K, first, hi)
+        cap[first - lo :] = np.clip(k, 0, np.arange(first + 1, hi + 1))
+    return cap.astype(np.min_scalar_type(int(cap.max())))
+
+
+def _thresholds(schedules: Schedules, lo: int, hi: int) -> np.ndarray:
+    """max(J(n), 1) for n in [lo, hi); a block must have occurred to be matched."""
+    need = np.ones(hi - lo, np.int64)
+    first = max(lo, 1)
+    if first < hi:
+        need[first - lo :] = np.maximum(schedule_values(schedules.J, first, hi), 1)
+    return need
+
+
+def replay(
+    seq: np.ndarray,
+    size: int,
+    schedules: Schedules,
+    *,
+    histogram: bool = True,
+    chunk: int | None = None,
+) -> Iterator[Replayed]:
+    """Estimator state at every position of ``seq`` (symbol indices), one
+    :class:`Replayed` per chunk of ``chunk`` positions (default
+    :func:`chunk_rows`).
+
+    K is evaluated once per position before the replay, to find the longest
+    block length any position may match; J once per position as the chunk
+    comes.  Skip the histograms with ``histogram=False``.
+    """
+    seq = np.asarray(seq)
+    total = len(seq)
+    rows = chunk or chunk_rows(size)
+    bounds = [(lo, min(lo + rows, total)) for lo in range(0, total, rows)]
+    caps = [_caps(schedules, lo, hi) for lo, hi in bounds]
+    k_max = max((int(cap.max()) for cap in caps), default=0)
+    levels = [_Blocks(size) for _ in range(k_max)]
+    for (lo, hi), cap in zip(bounds, caps):
+        length = hi - lo
+        x = seq[lo:hi].astype(np.int64)
+        succ = np.zeros(length, np.int64)  # the segment's last position has no successor; never counted
+        tail = seq[lo + 1 : hi + 1]
+        succ[: len(tail)] = tail
+        need = _thresholds(schedules, lo, hi)
+        kappa = np.zeros(length, np.int64)
+        matches = np.zeros(length, np.int64)
+        used = []
+        prev = None  # numbers of the length-(k-1) blocks ending at lo-1 .. hi-2
+        for k, level in enumerate(levels, 1):
+            first = max(0, k - 1 - lo)  # no length-k block ends before position k-1
+            if first >= length:
+                break
+            keys = x if k == 1 else prev[first:] * size + x[first:]
+            before = level.tail
+            ids, lam = level.scan(keys, succ[first:])
+            ok = (cap[first:] >= k) & (lam >= need[first:])
+            np.copyto(kappa[first:], k, where=ok)
+            np.copyto(matches[first:], lam, where=ok)
+            used.append((first, level))
+            if k < k_max:
+                numbers = np.full(length, -1, np.int64)
+                numbers[first:] = ids
+                prev = np.concatenate(([before], numbers[:-1]))
+        hist = None
+        if histogram:
+            hist = np.zeros((length, size), np.int64)
+            for k, (first, level) in enumerate(used, 1):
+                at = kappa[first:] == k
+                if at.any():
+                    hist[first:][at] = level.histogram(at, matches[first:][at])
+        if hi < total:
+            for _, level in used:
+                level.absorb()
+        yield Replayed(lo, kappa, matches, hist)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -45,6 +45,7 @@ _ROW_TOL = 1e-12
 _STATIONARY_TOL = 1e-12
 _MAX_CONTEXTS = 65536
 _MAX_POWER_ITERS = 200_000
+_DRAW_CHUNK = 1 << 14  # uniforms are drawn this many at a time; the stream is the same
 
 
 def _check_rows(rows, n_rows: int, width: int, what: str) -> tuple:
@@ -60,6 +61,8 @@ def _check_rows(rows, n_rows: int, width: int, what: str) -> tuple:
         for j, v in enumerate(row):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError(f"{what}[{i}][{j}] must be a number, got {v!r}")
+            if not math.isfinite(v):
+                raise ValueError(f"{what}[{i}][{j}] must be finite, got {v!r}")
             if v < 0:
                 raise ValueError(f"{what}[{i}][{j}] is negative")
         s = math.fsum(row)
@@ -322,7 +325,9 @@ def generate(spec: ProcessSpec, seed: int, horizon: int, eval_set: Sequence[int]
     symbol; Markov consumes one uniform for the initial k-block then one per
     subsequent symbol; HMM consumes one uniform for the initial hidden state
     then an (emission, transition) pair per time step.  Uniforms are mapped
-    to symbols by inverse CDF over cumulative row sums.
+    to symbols by inverse CDF over cumulative row sums.  They are drawn in
+    chunks, which yields the same PCG64 stream as one draw of them all
+    without holding it.
 
     ``eval_set`` positions get their exact conditional P(X_{n+1}=.|X_0..X_n)
     recorded in the returned trajectory.
@@ -341,10 +346,10 @@ def generate(spec: ProcessSpec, seed: int, horizon: int, eval_set: Sequence[int]
         pi_k = _markov_block_stationary(spec)
         state = min(int(np.searchsorted(np.cumsum(pi_k), rng.random(), side="right")), size**k - 1)
         data = bytearray(_decode_block(state, size, k)[:n_sym])
-        if n_sym > k:
-            cums = [_cumulative(row) for row in spec.rows]
-            mod = size ** (k - 1)
-            for u in rng.random(n_sym - k).tolist():
+        cums = [_cumulative(row) for row in spec.rows]
+        mod = size ** (k - 1)
+        for lo in range(k, n_sym, _DRAW_CHUNK):
+            for u in rng.random(min(_DRAW_CHUNK, n_sym - lo)).tolist():
                 row = cums[state]
                 x = 0
                 while u >= row[x]:
@@ -357,19 +362,22 @@ def generate(spec: ProcessSpec, seed: int, horizon: int, eval_set: Sequence[int]
         pi_h = np.cumsum(stationary_distribution(np.array(spec.transition)))
         s = min(int(np.searchsorted(pi_h, rng.random(), side="right")), len(spec.transition) - 1)
         data = bytearray(n_sym)
-        us = rng.random(2 * n_sym).tolist()
-        for m in range(n_sym):
-            u = us[2 * m]
-            row = E_cums[s]
-            x = 0
-            while u >= row[x]:
-                x += 1
-            data[m] = x
-            u = us[2 * m + 1]
-            row = A_cums[s]
-            s = 0
-            while u >= row[s]:
-                s += 1
+        m = 0
+        for lo in range(0, n_sym, _DRAW_CHUNK):
+            us = rng.random(2 * min(_DRAW_CHUNK, n_sym - lo)).tolist()
+            for i in range(0, len(us), 2):
+                u = us[i]
+                row = E_cums[s]
+                x = 0
+                while u >= row[x]:
+                    x += 1
+                data[m] = x
+                m += 1
+                u = us[i + 1]
+                row = A_cums[s]
+                s = 0
+                while u >= row[s]:
+                    s += 1
     else:
         raise TypeError(f"unsupported process spec {type(spec).__name__}")
     seq = SymbolSequence(spec.alphabet, data)
@@ -439,6 +447,47 @@ class Oracle:
         if self._kind == "markov":
             return _MarkovCursor(self.spec, self._short)
         return _HMMCursor(self._A, self._E, self._pi_h, self.spec.alphabet.size)
+
+    def conditionals(self, seq: np.ndarray, chunk: int) -> Iterator[np.ndarray]:
+        """P(X_{n+1} = . | X_0..X_n) for every position n of ``seq``, as
+        arrays of ``chunk`` rows (the last one may be shorter).
+
+        IID rows are the law itself and Markov rows are gathered by the code
+        of the last ``order`` symbols, with the same floats a cursor returns;
+        HMM rows come from one cursor carried across chunks.
+        """
+        size = self.spec.alphabet.size
+        total = len(seq)
+        if self._kind == "hmm":
+            cursor = self.cursor()
+            observe, conditional = cursor.observe, cursor.conditional
+            for lo in range(0, total, chunk):
+                symbols = seq[lo : lo + chunk].tolist()
+                rows = np.empty((len(symbols), size))
+                for i, x in enumerate(symbols):
+                    observe(x)
+                    rows[i] = conditional()
+                yield rows
+            return
+        if self._kind == "iid":
+            law = np.array(self.spec.probs)
+            for lo in range(0, total, chunk):
+                yield np.broadcast_to(law, (min(chunk, total - lo), size))
+            return
+        k = self.spec.order
+        table = np.array(self.spec.rows)
+        for lo in range(0, total, chunk):
+            hi = min(lo + chunk, total)
+            start = min(max(lo, k - 1), hi)  # first position with a full order-k context
+            code = np.zeros(hi - start, dtype=np.int64)
+            for i in range(k):
+                code = code * size + seq[start - k + 1 + i : hi - k + 1 + i]
+            out = table[code]
+            if start > lo:  # prefixes shorter than the order use the exact short tables
+                prefix = seq[:start].tolist()
+                head = [self.conditional(prefix, n) for n in range(lo, start)]
+                out = np.concatenate([np.array(head).reshape(-1, size), out])
+            yield out
 
     def conditional(self, history, n: int | None = None) -> tuple:
         """Conditional next-symbol distribution given history[0..n]."""
@@ -531,14 +580,20 @@ class _MarkovCursor:
 
 
 class _HMMCursor:
-    __slots__ = ("_A", "_E", "_pi", "_alpha", "_size")
+    __slots__ = ("_A", "_E", "_pi", "_alpha", "_pred", "_size")
 
     def __init__(self, A: np.ndarray, E: np.ndarray, pi_h: np.ndarray, size: int):
         self._A = A
         self._E = E
         self._pi = pi_h
         self._alpha = None
+        self._pred = None  # alpha @ A, shared by conditional() and the next observe()
         self._size = size
+
+    def _predicted(self) -> np.ndarray:
+        if self._pred is None:
+            self._pred = self._alpha @ self._A
+        return self._pred
 
     def observe(self, x: int) -> None:
         if not 0 <= x < self._size:
@@ -546,14 +601,14 @@ class _HMMCursor:
         if self._alpha is None:
             alpha = self._pi * self._E[:, x]
         else:
-            alpha = (self._alpha @ self._A) * self._E[:, x]
+            alpha = self._predicted() * self._E[:, x]
         total = alpha.sum()
         if total <= 0.0:
             raise ValueError("history has zero probability under the model")
         self._alpha = alpha / total  # renormalize every step; no underflow at any horizon
+        self._pred = None
 
     def conditional(self) -> tuple:
         if self._alpha is None:
             raise ValueError("conditional undefined before any observation")
-        cond = (self._alpha @ self._A) @ self._E
-        return tuple(float(v) for v in cond)
+        return tuple((self._predicted() @ self._E).tolist())

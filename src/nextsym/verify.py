@@ -1,8 +1,12 @@
-"""Exact equivalence suite: scanning evaluator vs streaming index.
+"""Exact equivalence suite: scanning evaluator vs streaming index vs replay kernel.
 
 For random sequences the streaming estimator must reproduce the scanning
 evaluator bit for bit at every prefix: context length, match count, payoff
-estimate and successor distribution.  Recurrence-time lists are verified
+estimate and successor distribution.  The whole-sequence replay kernel
+(:mod:`nextsym.kernel`) is the third route: its context lengths, match
+counts, successor distributions and column-wise payoff estimates are
+compared with the scanning evaluator's at every prefix, one array
+comparison per field and case.  Recurrence-time lists are verified
 in-place at every prefix: each listed backshift must actually match the
 suffix, the list must be strictly increasing, and its length must equal the
 independently computed match count, which together pin the list down to the
@@ -11,6 +15,7 @@ exact set of in-segment occurrences.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +50,14 @@ def verify_equivalence(
     schedules_for: callable = None,
     estimator_factory: type = StreamingEstimator,
 ) -> EquivalenceReport:
-    """Compare evaluator and index on random sequences at every prefix.
+    """Compare evaluator, index and kernel on random sequences at every prefix.
 
     ``estimator_factory`` exists so the suite can be pointed at a broken
     build and demonstrate that it reports a counterexample; ``schedules_for``
     maps an alphabet size to custom schedules (defaults otherwise).
     """
+    from . import kernel  # imported on first use, so commands that never replay load less at start-up
+
     if cases < 1 or max_n < 1:
         raise ValueError("need cases >= 1 and max_n >= 1")
     prefixes = 0
@@ -66,7 +73,7 @@ def verify_equivalence(
         arr = seq.as_array()
         streaming = estimator_factory(alphabet, schedules, horizon=length - 1 if length > 1 else 1)
 
-        def fail(n: int, field: str, expected, got) -> EquivalenceReport:
+        def fail(n: int, field: str, expected, got, route: str = "streaming") -> EquivalenceReport:
             head = data[: n + 1]
             shown = head.tolist() if n < 40 else head[:20].tolist() + ["..."]
             return EquivalenceReport(
@@ -77,13 +84,17 @@ def verify_equivalence(
                     "case": case,
                     "alphabet_size": size,
                     "n": n,
+                    "route": route,
                     "field": field,
                     "scanning": expected,
-                    "streaming": got,
+                    route: got,
                     "prefix": shown,
                 },
             )
 
+        (part,) = kernel.replay(data, size, schedules, chunk=length)
+        # the scanning route per prefix, packed for the kernel route's comparison
+        want_kappa, want_matches, want_probs, want_values = array("q"), array("q"), array("d"), array("d")
         for n in range(length):
             streaming.push(int(data[n]))
             want_dist = estimate_distribution(seq, n, schedules)
@@ -97,6 +108,10 @@ def verify_equivalence(
             got_est = streaming.current_estimate(payoff)
             if want_est != got_est:
                 return fail(n, "estimate", want_est, got_est)
+            want_kappa.append(want_dist.context_len)
+            want_matches.append(want_dist.matches)
+            want_probs.extend(want_dist.probs)
+            want_values.append(want_est.value)
             k = want_dist.context_len
             if k > 0:
                 times = recurrence_times(seq, n, k)
@@ -104,6 +119,23 @@ def verify_equivalence(
                 if problem:
                     return fail(n, "recurrence_times", problem, times)
             prefixes += 1
+        want = {
+            "context_len": np.frombuffer(want_kappa, np.int64),
+            "matches": np.frombuffer(want_matches, np.int64),
+            "probs": np.frombuffer(want_probs).reshape(length, size),
+            "estimate": np.frombuffer(want_values),
+        }
+        got = {
+            "context_len": part.kappa,
+            "matches": part.matches,
+            "probs": part.hist / np.maximum(part.matches, 1)[:, None],
+            "estimate": kernel.payoff_means(part.hist, payoff.values, part.matches),
+        }
+        for field, w in want.items():
+            g = got[field]
+            if not np.array_equal(w, g):
+                n = int(np.flatnonzero((w != g).reshape(length, -1).any(axis=1))[0])
+                return fail(n, field, w[n].tolist(), g[n].tolist(), "kernel")
     return EquivalenceReport(ok=True, cases=cases, prefixes_checked=prefixes, counterexample=None)
 
 

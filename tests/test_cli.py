@@ -79,6 +79,36 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert "transition[0][0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda doc: doc.update(process={"kind": "iid", "alphabet": "01", "probs": [float("nan"), 1.0]}),
+             "process.probs[0]"),
+            (lambda doc: doc["experiment"].update(epsilons=[float("nan")]), "experiment.epsilons[0]"),
+            (lambda doc: doc["process"]["transition"][0].__setitem__(1, float("inf")), "process.transition[0][1]"),
+        ],
+    )
+    def test_non_finite_number_rejected_with_field_path(self, tmp_path, capsys, edit, field):
+        doc = json.loads(json.dumps(MARKOV_DOC))
+        edit(doc)
+        cfg = write_config(tmp_path, doc)  # json.dumps writes NaN and Infinity literals
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_overflowing_number_rejected_with_field_path(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(MARKOV_DOC).replace('"replicates": 3', '"replicates": 3, "epsilons": [1e999]'))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert "experiment.epsilons[0]" in capsys.readouterr().err
+
+    def test_too_fine_log_coefficient_rejected(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(MARKOV_DOC))
+        doc["schedules"] = {"K": {"kind": "log", "coeff": 0.1234567}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert "schedules.K.coeff" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 

@@ -1,0 +1,145 @@
+"""The whole-trajectory replay kernel against the scanning evaluator, and the
+chunked oracle conditionals and trajectory draws it is fed with."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nextsym import (
+    Alphabet,
+    ExperimentConfig,
+    HiddenMarkovProcess,
+    IIDProcess,
+    MarkovProcess,
+    Oracle,
+    PayoffFunction,
+    Schedules,
+    SymbolSequence,
+    context_length,
+    generate,
+    run_experiment,
+    successor_histogram,
+)
+from nextsym import kernel, processes
+from nextsym.config import build_schedules
+
+
+def _schedule_choices(size: int) -> dict:
+    alphabet = Alphabet.of_size(size)
+    return {
+        "default": Schedules.default(size),
+        "log 0.25": build_schedules({"schedules": {"K": {"kind": "log", "coeff": 0.25}}}, alphabet),
+        "constant K, linear J": build_schedules(
+            {"schedules": {"K": {"kind": "constant", "value": 4}, "J": {"kind": "linear", "coeff": 0.02}}},
+            alphabet,
+        ),
+        "lambdas": Schedules(K=lambda n: 1 + n.bit_length() // 3, J=lambda n: 1 + n // 40),
+    }
+
+
+def _replayed(data: np.ndarray, size: int, schedules: Schedules, chunk: int) -> tuple:
+    parts = list(kernel.replay(data, size, schedules, chunk=chunk))
+    assert [p.start for p in parts] == list(range(0, len(data), chunk))
+    kappa = np.concatenate([p.kappa for p in parts])
+    matches = np.concatenate([p.matches for p in parts])
+    hist = np.concatenate([p.hist for p in parts])
+    return kappa, matches, hist
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(2, 4),
+    length=st.integers(1, 320),
+    chunk=st.sampled_from([1, 2, 7, 13]),
+    which=st.sampled_from(["default", "log 0.25", "constant K, linear J", "lambdas"]),
+    seed=st.integers(0, 2**32 - 1),
+    skew=st.booleans(),
+)
+def test_kernel_matches_scanning_evaluator(size, length, chunk, which, seed, skew):
+    rng = np.random.default_rng(seed)
+    probs = np.array([8.0] + [1.0] * (size - 1)) if skew else np.ones(size)
+    data = rng.choice(size, length, p=probs / probs.sum()).astype(np.uint8)
+    schedules = _schedule_choices(size)[which]
+    seq = SymbolSequence(Alphabet.of_size(size), data.tobytes())
+    kappa, matches, hist = _replayed(data, size, schedules, chunk)
+    for n in range(length):
+        k = context_length(seq, n, schedules) if n > 0 else 0
+        assert kappa[n] == k, n
+        want = successor_histogram(seq, n, k) if k else [0] * size
+        assert hist[n].tolist() == want, n
+        assert matches[n] == sum(want), n
+
+
+def test_log_schedule_steps_inside_a_chunk():
+    # K(n) = floor(log2(n) / 4) steps at 16 and 256: both fall mid-chunk for chunk 7
+    schedules = _schedule_choices(2)["log 0.25"]
+    data = np.zeros(300, dtype=np.uint8)  # every block recurs at once: kappa is the cap
+    kappa, _, _ = _replayed(data, 2, schedules, 7)
+    assert kappa[15] == 1 and kappa[16] == 1 and kappa[255] == 1 and kappa[256] == 2
+    assert kappa[1] == 1 and kappa[0] == 0
+
+
+def test_histogram_can_be_skipped():
+    data = np.random.default_rng(1).integers(0, 3, 500).astype(np.uint8)
+    (part,) = kernel.replay(data, 3, Schedules.default(3), histogram=False)
+    assert part.hist is None and part.kappa.shape == (500,)
+
+
+def test_chunk_rows_shrink_for_large_alphabets(monkeypatch):
+    monkeypatch.setattr(kernel, "CHUNK", 1 << 14)
+    assert kernel.chunk_rows(2) == kernel.chunk_rows(4) == 1 << 14
+    assert kernel.chunk_rows(256) == 1 << 8
+
+
+BINARY = Alphabet("01")
+TERNARY = Alphabet("abc")
+SPECS = {
+    "iid": IIDProcess(TERNARY, (0.2, 0.5, 0.3)),
+    "markov3": MarkovProcess(BINARY, 3, tuple((0.8, 0.2) if c % 3 else (0.25, 0.75) for c in range(8))),
+    "hmm": HiddenMarkovProcess(TERNARY, ((0.9, 0.1), (0.2, 0.8)), ((0.6, 0.3, 0.1), (0.1, 0.2, 0.7))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@pytest.mark.parametrize("chunk", [1, 2, 7, 1000])
+def test_chunked_conditionals_equal_cursor(name, chunk):
+    spec = SPECS[name]
+    seq = generate(spec, 5, 300).seq.as_array()
+    cursor = Oracle(spec).cursor()
+    want = []
+    for x in seq.tolist():
+        cursor.observe(x)
+        want.append(cursor.conditional())
+    got = np.concatenate(list(Oracle(spec).conditionals(seq, chunk)))
+    assert got.tolist() == [list(row) for row in want]
+
+
+@pytest.mark.parametrize("name", ["markov3", "hmm"])
+def test_chunked_draws_keep_the_stream(monkeypatch, name):
+    whole = generate(SPECS[name], 11, 5000).seq.as_array()
+    monkeypatch.setattr(processes, "_DRAW_CHUNK", 7)
+    assert np.array_equal(generate(SPECS[name], 11, 5000).seq.as_array(), whole)
+
+
+def test_hmm_cursor_matches_plain_forward_filter():
+    spec = SPECS["hmm"]
+    A, E = np.array(spec.transition), np.array(spec.emission)
+    cursor = Oracle(spec).cursor()
+    alpha = None
+    for x in generate(spec, 3, 400).seq:
+        v = processes.stationary_distribution(A) * E[:, x] if alpha is None else (alpha @ A) * E[:, x]
+        alpha = v / v.sum()
+        cursor.observe(x)
+        assert cursor.conditional() == tuple(float(p) for p in (alpha @ A) @ E)
+
+
+@pytest.mark.parametrize("payoff", [None, PayoffFunction.indicator(TERNARY, "b"), PayoffFunction(TERNARY, (-1.0, 0.5, 3.0))])
+def test_simulate_rows_do_not_depend_on_chunk_size(monkeypatch, payoff):
+    cfg = ExperimentConfig(
+        spec=SPECS["hmm"], horizon=700, replicates=2, payoff=payoff, base_seed=4, eval_grid=tuple(range(1, 701, 9))
+    )
+    whole = run_experiment(cfg)
+    monkeypatch.setattr(kernel, "CHUNK", 7)
+    chunked = run_experiment(cfg)
+    assert chunked.rows == whole.rows and chunked.tails == whole.tails

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from nextsym import Schedules, schedule_J, schedule_K
+from nextsym.estimator import ConstantSchedule, LinearJ, LogK
+from nextsym.kernel import schedule_values
 
 
 def integer_log_floor(n: int, base: int) -> int:
@@ -79,3 +81,80 @@ def test_default_K_wrapper_is_cached_step_function():
     assert [sch.K(n) for n in ns] == [schedule_K(n, 2) for n in ns]
     # out-of-order queries hit and refresh the bracket cache
     assert sch.K(2**30) == 3 and sch.K(17) == 1 and sch.K(2**21) == 2
+
+
+class TestLogK:
+    def test_exact_just_below_a_step(self):
+        # a float log plus a small epsilon rounds both of these up to the next step
+        sch = LogK(2, 0.5)
+        assert sch(2**40 - 1) == 19 and sch(2**40) == 20
+        assert sch(2**60 - 1) == 29 and sch(2**60) == 30
+        assert LogK(2, 0.5).value(2**40 - 1) == 19
+
+    def test_coefficient_read_in_decimal_form(self):
+        # 0.3 = 3/10: K(n) >= m exactly when n^3 >= 3^(10 m)
+        sch = LogK(3, 0.3)
+        for m in range(2, 9):
+            step = round(3 ** (10 * m / 3))
+            while step**3 < 3 ** (10 * m):
+                step += 1
+            while (step - 1) ** 3 >= 3 ** (10 * m):
+                step -= 1
+            assert sch(step) == m and sch(step - 1) == m - 1
+
+    @pytest.mark.parametrize("coeff, p, q", [(0.1, 1, 10), (0.25, 1, 4), (0.37, 37, 100), (1.5, 3, 2), (2.0, 2, 1)])
+    def test_matches_integer_definition(self, coeff, p, q):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            base = int(rng.integers(2, 6))
+            n = int(rng.integers(1, 2**40))
+            m = 1
+            while n**p >= base ** ((m + 1) * q):
+                m += 1
+            assert LogK(base, coeff)(n) == m
+
+    def test_default_is_schedule_K(self):
+        assert Schedules.default(3).K == LogK(3, 0.1)
+        for n in (1, 3**10 - 1, 3**10, 3**20, 3**20 + 5):
+            assert LogK(3, 0.1)(n) == schedule_K(n, 3)
+
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(ValueError):
+            LogK(1, 0.1)
+        with pytest.raises(ValueError):
+            LogK(2, 0.0)
+        with pytest.raises(ValueError):
+            LogK(2, float("nan"))
+        with pytest.raises(ValueError):
+            LogK(2, 0.1234567)  # numerator 1234567 in lowest terms
+
+    def test_pickles_without_its_cache(self):
+        import pickle
+
+        sch = LogK(2, 0.25)
+        sch(2**30)
+        assert pickle.loads(pickle.dumps(sch)) == sch
+
+
+SCHEDULES = {
+    "log default": LogK(2, 0.1),
+    "log 0.25 base 3": LogK(3, 0.25),
+    "log 0.3": LogK(2, 0.3),
+    "sqrt J": schedule_J,
+    "constant": ConstantSchedule(5),
+    "linear": LinearJ(0.37),
+    "callable": lambda n: n % 7 + 1,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULES))
+@pytest.mark.parametrize("lo, hi", [(1, 3000), (2**20 - 50, 2**20 + 50), (3**10 - 9, 3**10 + 9), (10**12, 10**12 + 40)])
+def test_schedule_values_equal_scalar_calls(name, lo, hi):
+    fn = SCHEDULES[name]
+    assert schedule_values(fn, lo, hi).tolist() == [fn(n) for n in range(lo, hi)]
+
+
+def test_sqrt_values_exact_at_squares():
+    squares = [(10**6) ** 2, (2**26 + 1) ** 2, (3**15) ** 2]
+    for sq in squares:
+        assert schedule_values(schedule_J, sq - 2, sq + 3).tolist() == [schedule_J(n) for n in range(sq - 2, sq + 3)]

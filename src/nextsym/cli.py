@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: ``simulate`` (run an experiment config, write metrics.csv,
-tails.csv and manifest.json), ``estimate`` (stream a sequence file through
+tails.csv and manifest.json), ``estimate`` (replay a sequence file through
 the estimator), ``verify`` (scanning, streaming and kernel equivalence suite) and
 ``lemmas`` (the three statistical lemma checks).
 
@@ -38,7 +38,6 @@ from .harness import (
     run_experiment,
 )
 from .processes import RNG_ALGORITHM
-from .streaming import StreamingEstimator
 from .verify import verify_equivalence
 
 CSV_SCHEMA_VERSION = 1
@@ -179,26 +178,27 @@ def _read_symbols(path: str, alphabet, lines_mode: bool) -> list:
 
 
 def cmd_estimate(args) -> int:
+    from . import kernel  # imported on first use, so commands that never replay load less at start-up
+
     alphabet = _alphabet_from_flag(args.alphabet)
     symbols = _read_symbols(args.sequence_file, alphabet, args.lines)
-    schedules = Schedules.default(alphabet.size)
-    est = StreamingEstimator(alphabet, schedules, horizon=max(1, len(symbols) - 1))
+    first = len(symbols) - 1 if args.final_only else 0
     tokens = [str(t) for t in alphabet.symbols]
-    header = "n,kappa,lambda,abstained," + ",".join(f"p_{t}" for t in tokens)
-    rows = [header]
-    for n, x in enumerate(symbols):
-        est.push(x)
-        if args.final_only and n < len(symbols) - 1:
-            continue
-        dist = est.current_distribution()
-        cells = [_fmt(n), _fmt(dist.context_len), _fmt(dist.matches), _fmt(dist.abstained)]
-        cells.extend(_fmt(p) for p in dist.probs)
-        rows.append(",".join(cells))
+    rows = ["n,kappa,lambda,abstained," + ",".join(f"p_{t}" for t in tokens)]
+    for part in kernel.replay(symbols, alphabet.size, Schedules.default(alphabet.size)):
+        states = zip(part.kappa.tolist(), part.matches.tolist(), part.probs.tolist())
+        for n, (kappa, matches, probs) in enumerate(states, part.start):
+            if n >= first:
+                cells = [_fmt(n), _fmt(kappa), _fmt(matches), _fmt(matches == 0)]
+                rows.append(",".join(cells + [_fmt(p) for p in probs]))
     print("\n".join(rows))
     return 0
 
 
 def cmd_verify(args) -> int:
+    for flag, value in (("--cases", args.cases), ("--max-n", args.max_n)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1")
     report = verify_equivalence(cases=args.cases, max_n=args.max_n, seed=args.seed)
     if report.ok:
         print(
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--workers", type=int, default=None, help="override experiment.workers")
     sim.set_defaults(func=cmd_simulate)
 
-    est = sub.add_parser("estimate", help="stream a sequence file through the estimator")
+    est = sub.add_parser("estimate", help="replay a sequence file through the estimator")
     est.add_argument("sequence_file")
     est.add_argument("--alphabet", default="01", help="symbols, e.g. 01 or ab (comma-separated for multi-char tokens)")
     est.add_argument("--lines", action="store_true", help="one symbol per line instead of contiguous characters")

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
 from .estimator import ConstantSchedule, LinearJ, LogK, PayoffFunction, Schedules, schedule_J
 from .harness import ExperimentConfig
 from .processes import HiddenMarkovProcess, IIDProcess, MarkovProcess, ProcessSpec
-from .sequences import Alphabet
+from .sequences import MAX_ALPHABET, Alphabet
 
 __all__ = [
     "ConfigError",
@@ -71,6 +72,15 @@ def _number(value, path: str, *, integer: bool = False):
     return float(value)
 
 
+def _integer(value, path: str, low: int, high: int | None = None) -> int:
+    """An integer in [low, high] (no upper end when high is None)."""
+    value = _number(value, path, integer=True)
+    if value < low or high is not None and value > high:
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ConfigError(f"{path} must be {span}, got {value}")
+    return value
+
+
 def _matrix(value, path: str) -> list:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path} must be a non-empty list of rows")
@@ -88,9 +98,7 @@ def build_alphabet(value, path: str = "process.alphabet") -> Alphabet:
     elif isinstance(value, list):
         symbols = value
     elif isinstance(value, int) and not isinstance(value, bool):
-        if value < 2:
-            raise ConfigError(f"{path} size must be >= 2")
-        return Alphabet.of_size(value)
+        return Alphabet.of_size(_integer(value, f"{path} size", 2, MAX_ALPHABET))
     else:
         raise ConfigError(f"{path} must be a string, list of tokens, or integer size")
     try:
@@ -154,10 +162,7 @@ def build_schedules(doc: dict, alphabet: Alphabet, path: str = "schedules") -> S
             except ValueError as exc:
                 raise ConfigError(f"{path}.K.coeff: {exc}") from exc
         elif kind == "constant":
-            value = _number(k_desc.get("value"), f"{path}.K.value", integer=True)
-            if value < 1:
-                raise ConfigError(f"{path}.K.value must be >= 1")
-            k_fn = ConstantSchedule(value)
+            k_fn = ConstantSchedule(_integer(k_desc.get("value"), f"{path}.K.value", 1))
         else:
             raise ConfigError(f"{path}.K.kind must be log or constant, got {kind!r}")
 
@@ -176,10 +181,7 @@ def build_schedules(doc: dict, alphabet: Alphabet, path: str = "schedules") -> S
                 raise ConfigError(f"{path}.J.coeff must be positive")
             j_fn = LinearJ(coeff)
         elif kind == "constant":
-            value = _number(j_desc.get("value"), f"{path}.J.value", integer=True)
-            if value < 1:
-                raise ConfigError(f"{path}.J.value must be >= 1")
-            j_fn = ConstantSchedule(value)
+            j_fn = ConstantSchedule(_integer(j_desc.get("value"), f"{path}.J.value", 1))
         else:
             raise ConfigError(f"{path}.J.kind must be sqrt/linear/constant, got {kind!r}")
     return Schedules(K=k_fn, J=j_fn)
@@ -252,27 +254,28 @@ def build_experiment(doc: dict, spec: ProcessSpec, schedules: Schedules) -> Expe
         raise ConfigError(f"experiment: {exc}") from exc
 
 
+@dataclass(frozen=True)
 class LemmaPlan:
-    """Parsed parameters for the three lemma checks."""
+    """Parsed parameters for the three lemma checks, each within the range
+    its check accepts."""
 
-    def __init__(self, resampling_cases, resampling_replicates, resampling_seed,
-                 divergence_horizon, divergence_replicates, divergence_schedules, divergence_seed,
-                 return_block, return_window, return_threshold, return_replicates, return_seed):
-        self.resampling_cases = resampling_cases
-        self.resampling_replicates = resampling_replicates
-        self.resampling_seed = resampling_seed
-        self.divergence_horizon = divergence_horizon
-        self.divergence_replicates = divergence_replicates
-        self.divergence_schedules = divergence_schedules
-        self.divergence_seed = divergence_seed
-        self.return_block = return_block
-        self.return_window = return_window
-        self.return_threshold = return_threshold
-        self.return_replicates = return_replicates
-        self.return_seed = return_seed
+    resampling_cases: tuple  # (k, j, n, block_len) per case
+    resampling_replicates: int
+    resampling_seed: int
+    divergence_horizon: int
+    divergence_replicates: int
+    divergence_schedules: Schedules
+    divergence_seed: int
+    return_block: tuple
+    return_window: int
+    return_threshold: int
+    return_replicates: int
+    return_seed: int
 
 
 def build_lemma_plan(doc: dict, spec: ProcessSpec, schedules: Schedules) -> LemmaPlan:
+    """Parse the lemma sections and reject, with the field path, every value
+    the checks would refuse, so no check runs on a plan that fails later."""
     alphabet = spec.alphabet
 
     res = doc.get("resampling", {})
@@ -283,14 +286,16 @@ def build_lemma_plan(doc: dict, spec: ProcessSpec, schedules: Schedules) -> Lemm
         raise ConfigError("resampling.cases must be a non-empty list")
     cases = []
     for i, case in enumerate(raw_cases):
+        path = f"resampling.cases[{i}]"
         if not isinstance(case, dict):
-            raise ConfigError(f"resampling.cases[{i}] must be an object")
+            raise ConfigError(f"{path} must be an object")
+        n = _integer(case.get("n", 100), f"{path}.n", 0)
         cases.append(
             (
-                _number(case.get("k", 1), f"resampling.cases[{i}].k", integer=True),
-                _number(case.get("j", 1), f"resampling.cases[{i}].j", integer=True),
-                _number(case.get("n", 100), f"resampling.cases[{i}].n", integer=True),
-                _number(case.get("block_len", 1), f"resampling.cases[{i}].block_len", integer=True),
+                _integer(case.get("k", 1), f"{path}.k", 1, n + 1),
+                _integer(case.get("j", 1), f"{path}.j", 1),
+                n,
+                _integer(case.get("block_len", 1), f"{path}.block_len", 1, 3),
             )
         )
 
@@ -311,18 +316,20 @@ def build_lemma_plan(doc: dict, spec: ProcessSpec, schedules: Schedules) -> Lemm
         block = tuple(alphabet.encode(t) for t in tokens)
     except ValueError as exc:
         raise ConfigError(f"return_time.block: {exc}") from exc
+    if not block:
+        raise ConfigError("return_time.block must not be empty")
 
     return LemmaPlan(
-        resampling_cases=cases,
-        resampling_replicates=_number(res.get("replicates", 5000), "resampling.replicates", integer=True),
+        resampling_cases=tuple(cases),
+        resampling_replicates=_integer(res.get("replicates", 5000), "resampling.replicates", 1),
         resampling_seed=_number(res.get("base_seed", 101), "resampling.base_seed", integer=True),
-        divergence_horizon=_number(div.get("horizon", 16384), "divergence.horizon", integer=True),
-        divergence_replicates=_number(div.get("replicates", 100), "divergence.replicates", integer=True),
+        divergence_horizon=_integer(div.get("horizon", 16384), "divergence.horizon", 1),
+        divergence_replicates=_integer(div.get("replicates", 100), "divergence.replicates", 1),
         divergence_schedules=div_sched,
         divergence_seed=_number(div.get("base_seed", 102), "divergence.base_seed", integer=True),
         return_block=block,
-        return_window=_number(ret.get("window", 100), "return_time.window", integer=True),
-        return_threshold=_number(ret.get("threshold", 30), "return_time.threshold", integer=True),
-        return_replicates=_number(ret.get("replicates", 20000), "return_time.replicates", integer=True),
+        return_window=_integer(ret.get("window", 100), "return_time.window", 1),
+        return_threshold=_integer(ret.get("threshold", 30), "return_time.threshold", 1),
+        return_replicates=_integer(ret.get("replicates", 20000), "return_time.replicates", 1),
         return_seed=_number(ret.get("base_seed", 104), "return_time.base_seed", integer=True),
     )

@@ -167,9 +167,8 @@ def _scores(part, cond: np.ndarray, payoff: PayoffFunction | None) -> tuple:
     from .kernel import payoff_means
 
     matches = part.matches
-    divisor = np.maximum(matches, 1)
     if payoff is None:
-        est = part.hist / divisor[:, None]
+        est = part.probs
         total = 0.0
         for s in range(cond.shape[1]):
             total = total + np.abs(est[:, s] - cond[:, s])
@@ -183,7 +182,7 @@ def _scores(part, cond: np.ndarray, payoff: PayoffFunction | None) -> tuple:
         est = payoff_means(part.hist, values, matches)
     else:
         oracle = cond[:, z]
-        est = np.where(matches > 0, part.hist[:, z] / divisor, 0.0)
+        est = np.where(matches > 0, part.hist[:, z] / np.maximum(matches, 1), 0.0)
     return est, oracle, np.abs(est - oracle)
 
 

@@ -51,6 +51,12 @@ class Replayed(NamedTuple):
     matches: np.ndarray  # lambda at kappa, 0 when abstaining
     hist: np.ndarray | None  # (rows, |A|) successor counts at kappa, zero rows when abstaining
 
+    @property
+    def probs(self) -> np.ndarray:
+        """Estimated next-symbol distribution per row: the histogram over
+        lambda, the all-zero vector when abstaining."""
+        return self.hist / np.maximum(self.matches, 1)[:, None]
+
 
 def schedule_values(fn: Callable[[int], int], lo: int, hi: int) -> np.ndarray:
     """fn(n) for every n in [lo, hi) as an exact int64 array.

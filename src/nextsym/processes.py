@@ -19,7 +19,7 @@ documented in :func:`generate`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -76,6 +76,22 @@ def _successors(P: np.ndarray) -> list[list[int]]:
     return [list(np.nonzero(P[i] > 0)[0]) for i in range(P.shape[0])]
 
 
+def _bfs_levels(graph: list[list[int]]) -> list[int]:
+    """Breadth-first depth of every state from state 0, -1 where unreachable."""
+    level = [-1] * len(graph)
+    level[0] = 0
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in graph[u]:
+                if level[v] < 0:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return level
+
+
 def _check_irreducible_aperiodic(succ: list[list[int]], what: str) -> None:
     """BFS strong-connectivity plus BFS-level gcd period check."""
     n = len(succ)
@@ -85,34 +101,12 @@ def _check_irreducible_aperiodic(succ: list[list[int]], what: str) -> None:
             raise ValueError(f"{what}: state {u} has no outgoing transition")
         for v in vs:
             preds[v].append(u)
-    for graph, direction in ((succ, "forward"), (preds, "backward")):
-        seen = [False] * n
-        seen[0] = True
-        frontier = [0]
-        count = 1
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in graph[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        count += 1
-                        nxt.append(v)
-            frontier = nxt
+    level = _bfs_levels(succ)
+    for direction, reached in (("forward", level), ("backward", _bfs_levels(preds))):
+        count = n - reached.count(-1)
         if count != n:
             raise ValueError(f"{what} is reducible ({direction} reachability covers {count}/{n} states)")
     # period = gcd of level[u] + 1 - level[v] over all edges, on the BFS tree from 0
-    level = [-1] * n
-    level[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in succ[u]:
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
     g = 0
     for u, vs in enumerate(succ):
         for v in vs:
@@ -151,9 +145,9 @@ class MarkovProcess:
         size = self.alphabet.size
         if self.order < 1:
             raise ValueError("order must be >= 1")
+        if size ** min(self.order, _MAX_CONTEXTS.bit_length()) > _MAX_CONTEXTS:  # never a huge power
+            raise ValueError(f"alphabet^order = {size}^{self.order} exceeds supported {_MAX_CONTEXTS} contexts")
         n_ctx = size**self.order
-        if n_ctx > _MAX_CONTEXTS:
-            raise ValueError(f"alphabet^order = {n_ctx} exceeds supported {_MAX_CONTEXTS} contexts")
         rows = _check_rows(self.rows, n_ctx, size, "transition")
         object.__setattr__(self, "rows", rows)
         mod = size ** (self.order - 1)
@@ -189,16 +183,10 @@ ProcessSpec = Union[IIDProcess, MarkovProcess, HiddenMarkovProcess]
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A generated segment X_0..X_N plus optional exact conditionals.
-
-    ``oracle_conditionals[n]`` is P(X_{n+1} = . | X_0..X_n) for each n that
-    was requested at generation time.  Same (spec, seed, horizon) always
-    reproduces the identical trajectory and conditionals.
-    """
+    """A generated segment X_0..X_N; the same (spec, seed, horizon) always
+    reproduces it."""
 
     seq: SymbolSequence
-    rng_seed: int
-    oracle_conditionals: dict = field(default_factory=dict)
 
 
 def stationary_distribution(transition) -> np.ndarray:
@@ -222,17 +210,25 @@ def stationary_distribution(transition) -> np.ndarray:
     if n == 2:
         a, b = P[0, 1], P[1, 0]
         return np.array([b / (a + b), a / (a + b)])
+    return _power_iteration(lambda pi: pi @ P, n, "power iteration")
+
+
+def _power_iteration(step, n: int, what: str) -> np.ndarray:
+    """Fixed point of ``step`` (one transition of a length-n probability row
+    vector) from the uniform vector, renormalised after every step, until
+    successive iterates agree to 1e-15; raises unless the residual
+    ||step(pi) - pi||_inf is then at most 1e-12."""
     pi = np.full(n, 1.0 / n)
     for _ in range(_MAX_POWER_ITERS):
-        nxt = pi @ P
+        nxt = step(pi)
         nxt /= nxt.sum()
-        if np.abs(nxt - pi).max() <= 1e-15:
-            pi = nxt
-            break
+        done = np.abs(nxt - pi).max() <= 1e-15
         pi = nxt
-    residual = np.abs(pi @ P - pi).max()
+        if done:
+            break
+    residual = np.abs(step(pi) - pi).max()
     if residual > _STATIONARY_TOL:
-        raise ValueError(f"power iteration did not converge (residual {residual:.3e})")
+        raise ValueError(f"{what} did not converge (residual {residual:.3e})")
     return pi
 
 
@@ -245,19 +241,11 @@ def _markov_block_stationary(spec: MarkovProcess) -> np.ndarray:
     if k == 1:
         return stationary_distribution(P)
     mod = size ** (k - 1)
-    pi = np.full(n_ctx, 1.0 / n_ctx)
-    for _ in range(_MAX_POWER_ITERS):
-        # mass pi[c] * P[c, b] flows to context (c mod mod) * size + b
-        nxt = (pi[:, None] * P).reshape(size, mod * size).sum(axis=0)
-        nxt /= nxt.sum()
-        if np.abs(nxt - pi).max() <= 1e-15:
-            pi = nxt
-            break
-        pi = nxt
-    residual = np.abs((pi[:, None] * P).reshape(size, mod * size).sum(axis=0) - pi).max()
-    if residual > _STATIONARY_TOL:
-        raise ValueError(f"block-chain power iteration did not converge (residual {residual:.3e})")
-    return pi
+
+    def step(pi):  # mass pi[c] * P[c, b] flows to context (c mod mod) * size + b
+        return (pi[:, None] * P).reshape(size, mod * size).sum(axis=0)
+
+    return _power_iteration(step, n_ctx, "block-chain power iteration")
 
 
 def stationary_block_law(spec: ProcessSpec, length: int) -> np.ndarray:
@@ -318,7 +306,7 @@ def _cumulative(row: Sequence[float]) -> list[float]:
     return out
 
 
-def generate(spec: ProcessSpec, seed: int, horizon: int, eval_set: Sequence[int] = ()) -> Trajectory:
+def generate(spec: ProcessSpec, seed: int, horizon: int) -> Trajectory:
     """Draw X_0..X_horizon with the stationary law as initial condition.
 
     Draw order (fixed for reproducibility): IID consumes one uniform per
@@ -328,9 +316,6 @@ def generate(spec: ProcessSpec, seed: int, horizon: int, eval_set: Sequence[int]
     to symbols by inverse CDF over cumulative row sums.  They are drawn in
     chunks, which yields the same PCG64 stream as one draw of them all
     without holding it.
-
-    ``eval_set`` positions get their exact conditional P(X_{n+1}=.|X_0..X_n)
-    recorded in the returned trajectory.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -380,23 +365,7 @@ def generate(spec: ProcessSpec, seed: int, horizon: int, eval_set: Sequence[int]
                     s += 1
     else:
         raise TypeError(f"unsupported process spec {type(spec).__name__}")
-    seq = SymbolSequence(spec.alphabet, data)
-    conditionals: dict = {}
-    if eval_set:
-        cursor = Oracle(spec).cursor()
-        wanted = sorted(set(eval_set))
-        if wanted[0] < 0 or wanted[-1] > horizon:
-            raise ValueError("eval_set positions must lie in [0, horizon]")
-        it = iter(wanted)
-        target = next(it)
-        for n, x in enumerate(data):
-            cursor.observe(x)
-            if n == target:
-                conditionals[n] = cursor.conditional()
-                target = next(it, None)
-                if target is None:
-                    break
-    return Trajectory(seq=seq, rng_seed=seed, oracle_conditionals=conditionals)
+    return Trajectory(seq=SymbolSequence(spec.alphabet, data))
 
 
 class Oracle:
@@ -510,11 +479,6 @@ class Oracle:
         for i in range(n + 1):
             cursor.observe(history[i])
         return cursor.conditional()
-
-    def expectation(self, history, payoff, n: int | None = None) -> float:
-        """E(g(X_{n+1}) | history[0..n]) as a dot product with the conditional."""
-        cond = self.conditional(history, n)
-        return math.fsum(p * v for p, v in zip(cond, payoff.values))
 
 
 def _encode_slice(history, start: int, stop: int, size: int) -> int:

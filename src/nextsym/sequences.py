@@ -28,7 +28,10 @@ class Alphabet:
             raise ValueError("alphabet needs at least 2 symbols")
         if len(syms) > MAX_ALPHABET:
             raise ValueError(f"alphabet larger than {MAX_ALPHABET} symbols is not supported")
-        index = {s: i for i, s in enumerate(syms)}
+        try:
+            index = {s: i for i, s in enumerate(syms)}
+        except TypeError as exc:
+            raise ValueError(f"alphabet symbols must be hashable: {exc}") from None
         if len(index) != len(syms):
             raise ValueError("alphabet symbols must be distinct")
         self.symbols = syms
@@ -46,7 +49,7 @@ class Alphabet:
     def encode(self, symbol) -> int:
         try:
             return self._index[symbol]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable value is no symbol either
             raise ValueError(f"unknown symbol {symbol!r}") from None
 
     def decode(self, index: int):

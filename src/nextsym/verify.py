@@ -128,7 +128,7 @@ def verify_equivalence(
         got = {
             "context_len": part.kappa,
             "matches": part.matches,
-            "probs": part.hist / np.maximum(part.matches, 1)[:, None],
+            "probs": part.probs,
             "estimate": kernel.payoff_means(part.hist, payoff.values, part.matches),
         }
         for field, w in want.items():

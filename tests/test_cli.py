@@ -2,9 +2,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from nextsym.cli import main
+from nextsym import kernel
+from nextsym.cli import _fmt, main
+from nextsym.estimator import Schedules
+from nextsym.sequences import Alphabet
 from nextsym.verify import verify_equivalence
 from nextsym.streaming import StreamingEstimator
 
@@ -177,6 +181,34 @@ class TestEstimate:
         path.write_text("\n\n")
         assert main(["estimate", str(path)]) == 2
 
+    @pytest.mark.parametrize("seed", range(16))
+    def test_output_equals_a_streamed_replay(self, tmp_path, capsys, monkeypatch, seed):
+        # the kernel route against one push and one query per symbol, with
+        # chunks small enough that rows cross chunk boundaries
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(2, 5))
+        tokens = "0123"[:size]
+        symbols = rng.integers(0, size, int(rng.integers(1, 400))).tolist()
+        final_only = bool(seed % 2)
+        monkeypatch.setattr(kernel, "CHUNK", int(rng.choice([1, 3, 8, 64])))
+
+        alphabet = Alphabet(tokens)
+        est = StreamingEstimator(alphabet, Schedules.default(size), horizon=max(1, len(symbols) - 1))
+        want = ["n,kappa,lambda,abstained," + ",".join(f"p_{t}" for t in tokens)]
+        for n, x in enumerate(symbols):
+            est.push(x)
+            if final_only and n < len(symbols) - 1:
+                continue
+            dist = est.current_distribution()
+            cells = [_fmt(n), _fmt(dist.context_len), _fmt(dist.matches), _fmt(dist.abstained)]
+            want.append(",".join(cells + [_fmt(p) for p in dist.probs]))
+
+        path = tmp_path / "seq.txt"
+        path.write_text("".join(tokens[x] for x in symbols))
+        argv = ["estimate", str(path), "--alphabet", tokens] + (["--final-only"] if final_only else [])
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "\n".join(want) + "\n"
+
 
 class TestVerify:
     def test_small_run_passes(self, capsys):
@@ -249,6 +281,42 @@ class TestLemmas:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["checks"]["return_time_bound"] == "pass"
         assert manifest["command"] == "lemmas"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("resampling.cases[0].k", 0),
+        ("resampling.cases[0].k", 62),  # above n + 1
+        ("resampling.cases[0].j", 0),
+        ("resampling.cases[0].n", -1),
+        ("resampling.cases[0].block_len", 0),
+        ("resampling.cases[0].block_len", 4),
+        ("resampling.replicates", 0),
+        ("divergence.horizon", 0),
+        ("divergence.replicates", 0),
+        ("return_time.window", 0),
+        ("return_time.threshold", 0),
+        ("return_time.replicates", 0),
+        ("--cases", 0),
+        ("--max-n", 0),
+    ],
+)
+def test_out_of_range_input_exits_two_naming_its_field(tmp_path, capsys, field, value):
+    if field.startswith("--"):
+        argv = ["verify", field, str(value)]
+    else:
+        doc = TestLemmas().lemmas_doc()
+        *parents, key = field.replace("[0]", ".0").split(".")
+        target = doc
+        for name in parents:
+            target = target[int(name)] if name.isdigit() else target[name]
+        target[key] = value
+        argv = ["lemmas", "--config", write_config(tmp_path, doc)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # rejected before any check ran
+    assert captured.err.startswith(f"error: {field} must be")
 
 
 def test_runtime_failure_exits_one(tmp_path, capsys):

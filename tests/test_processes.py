@@ -10,7 +10,6 @@ from nextsym import (
     IIDProcess,
     MarkovProcess,
     Oracle,
-    PayoffFunction,
     generate,
     stationary_block_law,
     stationary_distribution,
@@ -177,14 +176,6 @@ class TestGenerate:
         for n in range(len(hist)):
             assert np.allclose(oh.conditional(hist, n), om.conditional(hist, n), atol=1e-10)
 
-    def test_eval_set_conditionals_recorded(self):
-        t = generate(FLIP, 5, 50, eval_set=[0, 17, 50])
-        assert set(t.oracle_conditionals) == {0, 17, 50}
-        hist = list(t.seq)
-        o = Oracle(FLIP)
-        for n, cond in t.oracle_conditionals.items():
-            assert cond == o.conditional(hist, n)
-
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             generate(FLIP, 1, 0)
@@ -248,13 +239,6 @@ class TestOracle:
             for n, x in enumerate(hist):
                 cursor.observe(x)
                 assert np.allclose(cursor.conditional(), o.conditional(hist, n), atol=1e-12)
-
-    def test_payoff_expectation(self):
-        o = Oracle(FLIP)
-        const = PayoffFunction.constant(BINARY, 2.5)
-        assert o.expectation([0, 1], const) == pytest.approx(2.5, abs=1e-12)
-        ind = PayoffFunction.indicator(BINARY, "1")
-        assert o.expectation([0, 0, 1], ind) == pytest.approx(0.7, abs=1e-12)
 
     def test_empty_history_rejected(self):
         o = Oracle(FLIP)

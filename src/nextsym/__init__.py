@@ -48,7 +48,7 @@ from .processes import (
 )
 from .seeding import derive_seed
 from .sequences import Alphabet, SymbolSequence
-from .streaming import BlockStats, CapacityError, StreamingEstimator
+from .streaming import CapacityError, StreamingEstimator
 from .verify import EquivalenceReport, verify_equivalence
 
 __version__ = "0.1.0"
@@ -71,7 +71,6 @@ __all__ = [
     "payoff_mean",
     "d_star",
     "StreamingEstimator",
-    "BlockStats",
     "CapacityError",
     "IIDProcess",
     "MarkovProcess",

@@ -275,6 +275,15 @@ class EstimateResult:
     matches: int
     abstained: bool
 
+    @classmethod
+    def from_probe(cls, hit, payoff: PayoffFunction) -> "EstimateResult":
+        """The estimate from a probe's (context_len, matches, histogram), or
+        the abstained result when the probe returned None."""
+        if hit is None:
+            return cls(0.0, 0, 0, True)
+        k, matches, hist = hit
+        return cls(payoff_mean(hist, payoff.values, matches), k, matches, False)
+
 
 @dataclass(frozen=True)
 class DistributionEstimate:
@@ -285,6 +294,15 @@ class DistributionEstimate:
     context_len: int
     matches: int
     abstained: bool
+
+    @classmethod
+    def from_probe(cls, hit, size: int) -> "DistributionEstimate":
+        """The successor distribution from a probe's (context_len, matches,
+        histogram), or the all-zero abstained result when it returned None."""
+        if hit is None:
+            return cls((0.0,) * size, 0, 0, True)
+        k, matches, hist = hit
+        return cls(tuple(c / matches for c in hist), k, matches, False)
 
 
 def recurrence_times(seq: SymbolSequence, n: int, k: int, count: int | None = None) -> list[int]:
@@ -345,33 +363,29 @@ def successor_histogram(seq: SymbolSequence, n: int, k: int) -> list[int]:
     return np.bincount(succ, minlength=seq.alphabet.size).tolist()
 
 
+def _probe(seq: SymbolSequence, n: int, schedules: Schedules):
+    """(context_len, matches, successor histogram) at n, or None when
+    abstaining (n = 0, or no block met the threshold)."""
+    _check_position(seq, n)
+    if n == 0:
+        return None
+    k = context_length(seq, n, schedules)
+    if k == 0:
+        return None
+    hist = successor_histogram(seq, n, k)
+    return k, sum(hist), hist
+
+
 def estimate(seq: SymbolSequence, n: int, payoff: PayoffFunction, schedules: Schedules) -> EstimateResult:
     """Average payoff of the symbols following prior occurrences of the
     matched suffix block; abstains (value 0) at n=0 or when nothing matched."""
-    _check_position(seq, n)
-    if n == 0:
-        return EstimateResult(0.0, 0, 0, True)
-    k = context_length(seq, n, schedules)
-    if k == 0:
-        return EstimateResult(0.0, 0, 0, True)
-    hist = successor_histogram(seq, n, k)
-    matches = sum(hist)
-    return EstimateResult(payoff_mean(hist, payoff.values, matches), k, matches, False)
+    return EstimateResult.from_probe(_probe(seq, n, schedules), payoff)
 
 
 def estimate_distribution(seq: SymbolSequence, n: int, schedules: Schedules) -> DistributionEstimate:
     """Empirical successor distribution of the matched block (the estimate
     with every indicator payoff at once); all-zero when abstained."""
-    _check_position(seq, n)
-    size = seq.alphabet.size
-    if n == 0:
-        return DistributionEstimate((0.0,) * size, 0, 0, True)
-    k = context_length(seq, n, schedules)
-    if k == 0:
-        return DistributionEstimate((0.0,) * size, 0, 0, True)
-    hist = successor_histogram(seq, n, k)
-    matches = sum(hist)
-    return DistributionEstimate(tuple(c / matches for c in hist), k, matches, False)
+    return DistributionEstimate.from_probe(_probe(seq, n, schedules), seq.alphabet.size)
 
 
 def payoff_mean(hist: Sequence[int], values: Sequence[float], matches: int) -> float:

@@ -1,9 +1,9 @@
 """Incremental occurrence index for the forward estimator.
 
 Recomputing the estimator from scratch after every new symbol costs O(n) per
-step.  This index instead maintains, for every block length k <= k_max and
-every block value, how often the block has occurred with a successor inside
-the segment and the histogram of those successors.  A push then costs
+step.  This index instead stores, for every block length k <= k_max and every
+block value, one count (how often the block has occurred with a successor
+inside the segment) and one histogram of those successors.  A push then costs
 amortized O(k_max) and a query O(K(n) + alphabet size), with results equal
 bit for bit to the scanning evaluator in :mod:`nextsym.estimator`.
 
@@ -13,37 +13,18 @@ injective for a fixed length, so no hashing of symbol slices is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .estimator import (
-    DistributionEstimate,
-    EstimateResult,
-    PayoffFunction,
-    Schedules,
-    payoff_mean,
-)
+from .estimator import DistributionEstimate, EstimateResult, PayoffFunction, Schedules
 from .sequences import Alphabet, SymbolSequence
 
-__all__ = ["StreamingEstimator", "BlockStats", "CapacityError"]
+__all__ = ["StreamingEstimator", "CapacityError"]
 
-# internal per-block layout: [count_with_successor, last_end_position,
-#                             succ_count_0, ..., succ_count_{B-1}]
+# internal per-block layout: [count_with_successor, succ_count_0, ..., succ_count_{B-1}]
 _COUNT = 0
-_LAST_END = 1
-_HIST = 2
+_HIST = 1
 
 
 class CapacityError(RuntimeError):
     """Raised when a push or query exceeds the horizon fixed at construction."""
-
-
-@dataclass(frozen=True)
-class BlockStats:
-    """Read-only view of the statistics stored for one (length, block) key."""
-
-    count_with_successor: int
-    successor_histogram: tuple
-    last_end_position: int
 
 
 class StreamingEstimator:
@@ -70,11 +51,6 @@ class StreamingEstimator:
         self._stats = [{} for _ in range(self.k_max)]  # index k-1 -> {code: stats list}
         self._codes = [0] * self.k_max  # rolling code of the suffix of length k (index k-1)
 
-    @property
-    def position(self) -> int:
-        """Index n of the last pushed symbol, or -1 when empty."""
-        return len(self.seq) - 1
-
     def push(self, symbol_index: int) -> int:
         """Append one symbol and credit it as successor of every block ending
         just before it; returns the new position."""
@@ -92,10 +68,9 @@ class StreamingEstimator:
             code = codes[i]
             cell = stats.get(code)
             if cell is None:
-                cell = [0, 0] + [0] * size
+                cell = [0] * (_HIST + size)
                 stats[code] = cell
             cell[_COUNT] += 1
-            cell[_LAST_END] = m - 1
             cell[_HIST + symbol_index] += 1
         for i in range(k_max - 1, 0, -1):  # roll codes to end at m
             codes[i] = codes[i - 1] * size + symbol_index
@@ -105,11 +80,8 @@ class StreamingEstimator:
         return m
 
     def probe(self):
-        """Allocation-light query: (context_len, matches, histogram cell) for
-        the current position, or None when abstaining.
-
-        The histogram cell is the internal stats list; treat it as read-only.
-        """
+        """Query: (context_len, matches, successor histogram) for the current
+        position, or None when abstaining.  The histogram is a copy."""
         n = len(self.seq) - 1
         if n < 1:
             return None
@@ -127,39 +99,15 @@ class StreamingEstimator:
         for k in range(k_n, 0, -1):
             cell = stats[k - 1].get(codes[k - 1])
             if cell is not None and cell[_COUNT] >= j_n:
-                return k, cell[_COUNT], cell
+                return k, cell[_COUNT], cell[_HIST:]
         return None
 
     def current_estimate(self, payoff: PayoffFunction) -> EstimateResult:
         """Same result as the scanning evaluator at the current position."""
-        hit = self.probe()
-        if hit is None:
-            return EstimateResult(0.0, 0, 0, True)
-        k, matches, cell = hit
-        value = payoff_mean(cell[_HIST:], payoff.values, matches)
-        return EstimateResult(value, k, matches, False)
+        return EstimateResult.from_probe(self.probe(), payoff)
 
     def current_distribution(self) -> DistributionEstimate:
-        hit = self.probe()
-        if hit is None:
-            return DistributionEstimate((0.0,) * self._size, 0, 0, True)
-        k, matches, cell = hit
-        probs = tuple(c / matches for c in cell[_HIST:])
-        return DistributionEstimate(probs, k, matches, False)
-
-    def stats_for(self, k: int, block: tuple) -> BlockStats | None:
-        """Stored statistics for an explicit block (tuple of symbol indices)."""
-        if not 1 <= k <= self.k_max or len(block) != k:
-            raise ValueError(f"block of length {len(block)} does not match k={k} <= k_max={self.k_max}")
-        code = 0
-        for s in block:
-            if not 0 <= s < self._size:
-                raise ValueError(f"symbol index {s} outside alphabet")
-            code = code * self._size + s
-        cell = self._stats[k - 1].get(code)
-        if cell is None:
-            return None
-        return BlockStats(cell[_COUNT], tuple(cell[_HIST:]), cell[_LAST_END])
+        return DistributionEstimate.from_probe(self.probe(), self._size)
 
     def stored_keys(self) -> int:
         """Number of (length, block) keys currently held."""

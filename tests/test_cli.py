@@ -220,7 +220,7 @@ class TestVerify:
             def probe(self):
                 # threshold bug: treats "at least J" as "strictly more than J"
                 hit = super().probe()
-                if hit is not None and hit[1] == self.schedules.J(self.position):
+                if hit is not None and hit[1] == self.schedules.J(len(self.seq) - 1):
                     return None
                 return hit
 

@@ -23,28 +23,9 @@ def fed(alphabet, values, schedules=None, horizon=None):
 
 
 class TestPush:
-    def test_spec_example_block_counts(self, binary):
-        est = fed(binary, [0, 1, 0, 1, 0])
-        stats = est.stats_for(1, (0,))
-        assert stats.count_with_successor == 2
-        assert stats.successor_histogram == (0, 2)
-
     def test_single_symbol_records_nothing(self, binary):
         est = fed(binary, [1])
         assert est.stored_keys() == 0
-
-    def test_constant_run(self, binary):
-        est = fed(binary, [0, 0, 0])
-        stats = est.stats_for(1, (0,))
-        assert stats.count_with_successor == 2
-        assert stats.successor_histogram == (2, 0)
-        assert stats.last_end_position == 1
-
-    def test_last_end_position_tracks_latest_occurrence(self, binary):
-        est = fed(binary, [0, 1, 0, 1, 0])
-        assert est.stats_for(1, (0,)).last_end_position == 2
-        est.push(1)
-        assert est.stats_for(1, (0,)).last_end_position == 4
 
     def test_invalid_symbol(self, binary):
         est = StreamingEstimator(binary, horizon=4)
@@ -90,19 +71,14 @@ class TestQueries:
         assert empty.current_distribution().abstained
 
     def test_current_distribution_examples(self, binary):
-        assert fed(binary, [0, 1, 0, 1, 0]).current_distribution().probs == (0.0, 1.0)
+        d = fed(binary, [0, 1, 0, 1, 0]).current_distribution()
+        assert (d.probs, d.context_len, d.matches) == ((0.0, 1.0), 1, 2)
+        d = fed(binary, [0, 0, 0]).current_distribution()
+        assert (d.probs, d.context_len, d.matches) == ((1.0, 0.0), 1, 2)
         d = fed(binary, [0, 1]).current_distribution()
         assert d.abstained and d.probs == (0.0, 0.0)
         dc = fed(binary, [0] * 11).current_distribution()
         assert dc.probs == (1.0, 0.0) and dc.matches == 10
-
-    def test_stats_for_validates(self, binary):
-        est = fed(binary, [0, 1, 0])
-        with pytest.raises(ValueError):
-            est.stats_for(2, (0,))
-        with pytest.raises(ValueError):
-            est.stats_for(1, (3,))
-        assert est.stats_for(1, (1,)).count_with_successor == 1
 
 
 class TestEquivalence:
@@ -163,22 +139,26 @@ class TestResourceContracts:
     def test_owned_sequence_matches_pushes(self, binary):
         est = fed(binary, [0, 1, 1, 0])
         assert list(est.seq) == [0, 1, 1, 0]
-        assert est.position == 3
 
     def test_count_identity_for_current_suffix(self):
-        # stored count_with_successor equals the scanning match count of the
-        # current suffix, at every prefix and length
+        # with J = 1 the probe reports the current suffix of length min(k, n+1)
+        # whenever it recurred, with the scanning match count
         from nextsym import occurrence_count
 
         rng = np.random.default_rng(16)
         alphabet = Alphabet.of_size(3)
-        sch = Schedules(K=lambda n: 4, J=lambda n: 1)
         data = rng.integers(0, 3, 400).tolist()
-        est = StreamingEstimator(alphabet, sch, horizon=400)
         seq = SymbolSequence(alphabet, data)
-        for n, x in enumerate(data):
-            est.push(x)
-            for k in range(1, min(est.k_max, n + 1) + 1):
-                stats = est.stats_for(k, seq[n - k + 1 : n + 1])
-                count = stats.count_with_successor if stats else 0
-                assert count == occurrence_count(seq, n, k)
+        for k in range(1, 5):
+            est = StreamingEstimator(alphabet, Schedules(K=lambda n, k=k: k, J=lambda n: 1), horizon=400)
+            for n, x in enumerate(data):
+                est.push(x)
+                if n == 0:
+                    continue
+                length = min(k, n + 1)
+                count = occurrence_count(seq, n, length)
+                hit = est.probe()
+                if count > 0:
+                    assert hit[:2] == (length, count)
+                else:
+                    assert hit is None or hit[0] < length

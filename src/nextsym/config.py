@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .estimator import ConstantSchedule, LinearJ, LogK, PayoffFunction, Schedules, schedule_J
 from .harness import ExperimentConfig
-from .processes import HiddenMarkovProcess, IIDProcess, MarkovProcess, ProcessSpec
+from .processes import MAX_BLOCKS, HiddenMarkovProcess, IIDProcess, MarkovProcess, ProcessSpec, block_space_fits
 from .sequences import MAX_ALPHABET, Alphabet
 
 __all__ = [
@@ -249,9 +249,18 @@ def build_experiment(doc: dict, spec: ProcessSpec, schedules: Schedules) -> Expe
         workers=workers,
     )
     try:
-        return cfg.resolved()
+        cfg = cfg.resolved()
     except ValueError as exc:
         raise ConfigError(f"experiment: {exc}") from exc
+    if payoff is not None:
+        # bounds every payoff sum and Cesaro sum, so scoring cannot overflow to inf or nan
+        max_abs = max(map(abs, payoff.values))
+        if not math.isfinite(2 * max_abs * (cfg.horizon + 1)):
+            raise ConfigError(
+                f"experiment.payoff.values must be small enough that 2 * max|v| * (horizon + 1) is finite, "
+                f"got max|v| = {max_abs!r} at horizon {cfg.horizon}"
+            )
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -290,22 +299,32 @@ def build_lemma_plan(doc: dict, spec: ProcessSpec, schedules: Schedules) -> Lemm
         if not isinstance(case, dict):
             raise ConfigError(f"{path} must be an object")
         n = _integer(case.get("n", 100), f"{path}.n", 0)
-        cases.append(
-            (
-                _integer(case.get("k", 1), f"{path}.k", 1, n + 1),
-                _integer(case.get("j", 1), f"{path}.j", 1),
-                n,
-                _integer(case.get("block_len", 1), f"{path}.block_len", 1, 3),
+        k = _integer(case.get("k", 1), f"{path}.k", 1, n + 1)
+        j = _integer(case.get("j", 1), f"{path}.j", 1)
+        block_len = _integer(case.get("block_len", 1), f"{path}.block_len", 1, 3)
+        if not block_space_fits(alphabet.size, block_len):
+            raise ConfigError(
+                f"{path}.block_len must be small enough that {alphabet.size}^block_len <= {MAX_BLOCKS}, "
+                f"got {block_len}"
             )
-        )
+        cases.append((k, j, n, block_len))
 
     div = doc.get("divergence", {})
     if not isinstance(div, dict):
         raise ConfigError("divergence must be an object")
     if "schedules" in div:
+        k_path = "divergence.schedules.K"
         div_sched = build_schedules(div, alphabet, path="divergence.schedules")
     else:
+        k_path = "schedules.K"
         div_sched = schedules
+    div_horizon = _integer(div.get("horizon", 16384), "divergence.horizon", 1)
+    final_cap = div_sched.K(div_horizon)
+    if not block_space_fits(alphabet.size, final_cap):
+        raise ConfigError(
+            f"{k_path} must be small enough that {alphabet.size}^K(divergence.horizon) <= {MAX_BLOCKS}, "
+            f"got K({div_horizon}) = {final_cap}"
+        )
 
     ret = doc.get("return_time", {})
     if not isinstance(ret, dict):
@@ -323,7 +342,7 @@ def build_lemma_plan(doc: dict, spec: ProcessSpec, schedules: Schedules) -> Lemm
         resampling_cases=tuple(cases),
         resampling_replicates=_integer(res.get("replicates", 5000), "resampling.replicates", 1),
         resampling_seed=_number(res.get("base_seed", 101), "resampling.base_seed", integer=True),
-        divergence_horizon=_integer(div.get("horizon", 16384), "divergence.horizon", 1),
+        divergence_horizon=div_horizon,
         divergence_replicates=_integer(div.get("replicates", 100), "divergence.replicates", 1),
         divergence_schedules=div_sched,
         divergence_seed=_number(div.get("base_seed", 102), "divergence.base_seed", integer=True),

@@ -36,6 +36,8 @@ __all__ = [
     "generate",
     "stationary_distribution",
     "stationary_block_law",
+    "MAX_BLOCKS",
+    "block_space_fits",
     "RNG_ALGORITHM",
 ]
 
@@ -43,9 +45,14 @@ RNG_ALGORITHM = "numpy-pcg64"
 
 _ROW_TOL = 1e-12
 _STATIONARY_TOL = 1e-12
-_MAX_CONTEXTS = 65536
+MAX_BLOCKS = 65536  # most Markov contexts, and most blocks an exact block law enumerates
 _MAX_POWER_ITERS = 200_000
 _DRAW_CHUNK = 1 << 14  # uniforms are drawn this many at a time; the stream is the same
+
+
+def block_space_fits(size: int, length: int) -> bool:
+    """Whether size^length <= MAX_BLOCKS, without forming a huge power."""
+    return size ** min(length, MAX_BLOCKS.bit_length()) <= MAX_BLOCKS
 
 
 def _check_rows(rows, n_rows: int, width: int, what: str) -> tuple:
@@ -145,8 +152,8 @@ class MarkovProcess:
         size = self.alphabet.size
         if self.order < 1:
             raise ValueError("order must be >= 1")
-        if size ** min(self.order, _MAX_CONTEXTS.bit_length()) > _MAX_CONTEXTS:  # never a huge power
-            raise ValueError(f"alphabet^order = {size}^{self.order} exceeds supported {_MAX_CONTEXTS} contexts")
+        if not block_space_fits(size, self.order):
+            raise ValueError(f"alphabet^order = {size}^{self.order} exceeds supported {MAX_BLOCKS} contexts")
         n_ctx = size**self.order
         rows = _check_rows(self.rows, n_ctx, size, "transition")
         object.__setattr__(self, "rows", rows)
@@ -254,7 +261,7 @@ def stationary_block_law(spec: ProcessSpec, length: int) -> np.ndarray:
     if length < 1:
         raise ValueError("length must be >= 1")
     size = spec.alphabet.size
-    if size**length > _MAX_CONTEXTS:
+    if not block_space_fits(size, length):
         raise ValueError("block space too large")
     if isinstance(spec, IIDProcess):
         law = np.array(spec.probs)

@@ -33,6 +33,8 @@ from .streaming import StreamingEstimator
 
 __all__ = ["EquivalenceReport", "verify_equivalence"]
 
+_ALPHABET_SIZES = (2, 3, 4)
+
 
 @dataclass(frozen=True)
 class EquivalenceReport:
@@ -46,7 +48,6 @@ def verify_equivalence(
     cases: int = 200,
     max_n: int = 2000,
     seed: int = 2026,
-    alphabet_sizes: tuple = (2, 3, 4),
     schedules_for: callable = None,
     estimator_factory: type = StreamingEstimator,
 ) -> EquivalenceReport:
@@ -63,7 +64,7 @@ def verify_equivalence(
     prefixes = 0
     for case in range(cases):
         rng = np.random.Generator(np.random.PCG64(derive_seed(seed, case)))
-        size = int(alphabet_sizes[int(rng.integers(len(alphabet_sizes)))])
+        size = _ALPHABET_SIZES[int(rng.integers(len(_ALPHABET_SIZES)))]
         length = int(rng.integers(max(1, max_n // 2), max_n + 1))
         data = rng.integers(0, size, length).astype(np.uint8)
         alphabet = Alphabet.of_size(size)

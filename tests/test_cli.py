@@ -90,6 +90,11 @@ class TestSimulate:
              "process.probs[0]"),
             (lambda doc: doc["experiment"].update(epsilons=[float("nan")]), "experiment.epsilons[0]"),
             (lambda doc: doc["process"]["transition"][0].__setitem__(1, float("inf")), "process.transition[0][1]"),
+            # finite payoffs whose sums overflow: 2 * max|v| * (horizon + 1) is inf
+            (lambda doc: doc.update(
+                process={"kind": "iid", "alphabet": "01", "probs": [0.5, 0.5]},
+                experiment={"horizon": 64, "payoff": {"kind": "table", "values": {"0": 1e308, "1": -1e308}}},
+            ), "experiment.payoff.values"),
         ],
     )
     def test_non_finite_number_rejected_with_field_path(self, tmp_path, capsys, edit, field):
@@ -97,7 +102,9 @@ class TestSimulate:
         edit(doc)
         cfg = write_config(tmp_path, doc)  # json.dumps writes NaN and Infinity literals
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-        assert field in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert field in captured.err
+        assert captured.out == ""
         assert not (tmp_path / "x").exists()
 
     def test_overflowing_number_rejected_with_field_path(self, tmp_path, capsys):
@@ -292,6 +299,8 @@ class TestLemmas:
         ("resampling.cases[0].n", -1),
         ("resampling.cases[0].block_len", 0),
         ("resampling.cases[0].block_len", 4),
+        ("resampling.cases[0].block_len", 3),  # with a 41-symbol alphabet: 41^3 blocks
+        ("divergence.schedules.K", {"kind": "constant", "value": 17}),  # 2^17 blocks
         ("resampling.replicates", 0),
         ("divergence.horizon", 0),
         ("divergence.replicates", 0),
@@ -307,6 +316,8 @@ def test_out_of_range_input_exits_two_naming_its_field(tmp_path, capsys, field, 
         argv = ["verify", field, str(value)]
     else:
         doc = TestLemmas().lemmas_doc()
+        if (field, value) == ("resampling.cases[0].block_len", 3):
+            doc["process"] = {"kind": "iid", "alphabet": 41, "probs": [1 / 41] * 41}
         *parents, key = field.replace("[0]", ".0").split(".")
         target = doc
         for name in parents:

@@ -16,7 +16,7 @@ from .estimator import (
     estimate,
     estimate_distribution,
     occurrence_count,
-    payoff_mean,
+    payoff_means,
     recurrence_times,
     schedule_J,
     schedule_K,
@@ -68,7 +68,7 @@ __all__ = [
     "successor_histogram",
     "estimate",
     "estimate_distribution",
-    "payoff_mean",
+    "payoff_means",
     "d_star",
     "StreamingEstimator",
     "CapacityError",

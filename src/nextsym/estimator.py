@@ -41,7 +41,8 @@ __all__ = [
     "successor_histogram",
     "estimate",
     "estimate_distribution",
-    "payoff_mean",
+    "probe",
+    "payoff_means",
     "d_star",
 ]
 
@@ -282,7 +283,7 @@ class EstimateResult:
         if hit is None:
             return cls(0.0, 0, 0, True)
         k, matches, hist = hit
-        return cls(payoff_mean(hist, payoff.values, matches), k, matches, False)
+        return cls(float(payoff_means(np.array([hist]), payoff.values, np.array([matches]))[0]), k, matches, False)
 
 
 @dataclass(frozen=True)
@@ -363,9 +364,10 @@ def successor_histogram(seq: SymbolSequence, n: int, k: int) -> list[int]:
     return np.bincount(succ, minlength=seq.alphabet.size).tolist()
 
 
-def _probe(seq: SymbolSequence, n: int, schedules: Schedules):
+def probe(seq: SymbolSequence, n: int, schedules: Schedules):
     """(context_len, matches, successor histogram) at n, or None when
-    abstaining (n = 0, or no block met the threshold)."""
+    abstaining (n = 0, or no block met the threshold); the scanning
+    counterpart of :meth:`~nextsym.streaming.StreamingEstimator.probe`."""
     _check_position(seq, n)
     if n == 0:
         return None
@@ -379,40 +381,37 @@ def _probe(seq: SymbolSequence, n: int, schedules: Schedules):
 def estimate(seq: SymbolSequence, n: int, payoff: PayoffFunction, schedules: Schedules) -> EstimateResult:
     """Average payoff of the symbols following prior occurrences of the
     matched suffix block; abstains (value 0) at n=0 or when nothing matched."""
-    return EstimateResult.from_probe(_probe(seq, n, schedules), payoff)
+    return EstimateResult.from_probe(probe(seq, n, schedules), payoff)
 
 
 def estimate_distribution(seq: SymbolSequence, n: int, schedules: Schedules) -> DistributionEstimate:
     """Empirical successor distribution of the matched block (the estimate
     with every indicator payoff at once); all-zero when abstained."""
-    return DistributionEstimate.from_probe(_probe(seq, n, schedules), seq.alphabet.size)
+    return DistributionEstimate.from_probe(probe(seq, n, schedules), seq.alphabet.size)
 
 
-def payoff_mean(hist: Sequence[int], values: Sequence[float], matches: int) -> float:
-    """Histogram-weighted payoff mean, accumulated in alphabet index order.
+def payoff_means(hist: np.ndarray, values: Sequence[float], matches: np.ndarray) -> np.ndarray:
+    """Histogram-weighted payoff mean of every row of an integer histogram
+    array, accumulated column by column in alphabet index order.
 
-    Both the scanning evaluator and the streaming index reduce their integer
-    histograms through this one function, so equal histograms give
-    bit-identical floats; the kernel's column-wise
-    :func:`~nextsym.kernel.payoff_means` repeats its operations in order.  The two rounding steps (product-sum, quotient) can
-    land one ulp outside the range of the observed payoffs; the result is
-    clamped back so the range invariant holds exactly.
+    Every route reduces its histograms through this one function, so equal
+    histograms give bit-identical floats.  The two rounding steps
+    (product-sum, quotient) can land one ulp outside the range of the
+    observed payoffs; the result is clamped back so the range invariant
+    holds exactly.  Rows with zero matches (abstentions) give 0.
     """
-    total = 0.0
-    lo = hi = None
-    for c, v in zip(hist, values):
-        if c:
-            total += c * v
-            if lo is None or v < lo:
-                lo = v
-            if hi is None or v > hi:
-                hi = v
-    mean = total / matches
-    if mean < lo:
-        return lo
-    if mean > hi:
-        return hi
-    return mean
+    total = np.zeros(len(matches))
+    lo = np.full(len(matches), np.inf)
+    hi = np.full(len(matches), -np.inf)
+    for s, v in enumerate(values):
+        c = hist[:, s]
+        seen = c != 0
+        total = np.where(seen, total + c * v, total)
+        lo = np.where(seen & (v < lo), v, lo)
+        hi = np.where(seen & (v > hi), v, hi)
+    mean = total / np.maximum(matches, 1)
+    mean = np.where(mean < lo, lo, np.where(mean > hi, hi, mean))
+    return np.where(matches > 0, mean, 0.0)
 
 
 def d_star(x: Sequence[int], y: Sequence[int], depth: int) -> float:

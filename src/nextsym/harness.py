@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .estimator import PayoffFunction, Schedules, recurrence_times
+from .estimator import PayoffFunction, Schedules, payoff_means, recurrence_times
 from .processes import Oracle, ProcessSpec, generate, stationary_block_law
 from .seeding import derive_seed
 
@@ -161,11 +161,9 @@ def _wilson_halfwidth(fraction: float, n: int) -> float:
 def _scores(part, cond: np.ndarray, payoff: PayoffFunction | None) -> tuple:
     """Estimates and errors for one chunk replayed by the kernel against the
     exact conditionals ``cond``, with the arithmetic of the streaming route:
-    the indicator shortcut, :func:`~nextsym.kernel.payoff_means`, or the
+    the indicator shortcut, :func:`~nextsym.estimator.payoff_means`, or the
     total-variation sum in alphabet order.  Abstentions estimate 0 (the
     all-zero vector)."""
-    from .kernel import payoff_means
-
     matches = part.matches
     if payoff is None:
         est = part.probs

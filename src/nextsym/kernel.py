@@ -17,22 +17,21 @@ ending at e-1, X_e), and numbers are handed out in order of first
 appearance, so keys stay below (N+1)*|A| for every k.  Within a chunk the
 ends of each block are found by one stable sort of the keys.
 
-K and J come as exact arrays (:func:`schedule_values`), and
-:func:`payoff_means` reduces the histograms with the scalar route's
-arithmetic.  Results equal the scanning evaluator and the streaming index
+K and J come as exact arrays (:func:`schedule_values`); payoffs are reduced
+by :func:`~nextsym.estimator.payoff_means`, as on the other routes.  Results equal the scanning evaluator and the streaming index
 bit for bit; :func:`nextsym.verify.verify_equivalence` checks all three
 routes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .estimator import Schedules, schedule_J
 
-__all__ = ["CHUNK", "Replayed", "chunk_rows", "payoff_means", "replay", "schedule_values"]
+__all__ = ["CHUNK", "Replayed", "chunk_rows", "replay", "schedule_values"]
 
 CHUNK = 1 << 14  # positions per chunk for alphabets of up to four symbols; bounds the working set
 
@@ -75,25 +74,6 @@ def schedule_values(fn: Callable[[int], int], lo: int, hi: int) -> np.ndarray:
     if values is not None:
         return values(lo, hi)
     return np.fromiter(map(fn, range(lo, hi)), dtype=np.int64, count=hi - lo)
-
-
-def payoff_means(hist: np.ndarray, values: Sequence[float], matches: np.ndarray) -> np.ndarray:
-    """:func:`~nextsym.estimator.payoff_mean` for every row of an integer histogram array, with
-    the same operations in the same order column by column, so each entry
-    is bit-identical to the scalar call on that row.  Rows with zero
-    matches (abstentions) give 0."""
-    total = np.zeros(len(matches))
-    lo = np.full(len(matches), np.inf)
-    hi = np.full(len(matches), -np.inf)
-    for s, v in enumerate(values):
-        c = hist[:, s]
-        seen = c != 0
-        total = np.where(seen, total + c * v, total)
-        lo = np.where(seen & (v < lo), v, lo)
-        hi = np.where(seen & (v > hi), v, hi)
-    mean = total / np.maximum(matches, 1)
-    mean = np.where(mean < lo, lo, np.where(mean > hi, hi, mean))
-    return np.where(matches > 0, mean, 0.0)
 
 
 def _sortable(keys: np.ndarray) -> np.ndarray:

@@ -1,16 +1,19 @@
 """Exact equivalence suite: scanning evaluator vs streaming index vs replay kernel.
 
-For random sequences the streaming estimator must reproduce the scanning
-evaluator bit for bit at every prefix: context length, match count, payoff
-estimate and successor distribution.  The whole-sequence replay kernel
-(:mod:`nextsym.kernel`) is the third route: its context lengths, match
-counts, successor distributions and column-wise payoff estimates are
-compared with the scanning evaluator's at every prefix, one array
-comparison per field and case.  Recurrence-time lists are verified
-in-place at every prefix: each listed backshift must actually match the
-suffix, the list must be strictly increasing, and its length must equal the
-independently computed match count, which together pin the list down to the
-exact set of in-segment occurrences.
+Every route reduces the data segment at a prefix to one probe: the matched
+context length, its match count and the successor histogram, (0, 0, all-zero)
+when abstaining.  Every finished field (abstained flag, distribution, payoff
+estimate) is built from the probe by one shared finisher in
+:mod:`nextsym.estimator`, so the suite compares probes.  For random sequences
+the streaming index must reproduce the scanning evaluator's probe at every
+prefix.  The whole-sequence replay kernel (:mod:`nextsym.kernel`) is the third
+route: its context lengths, match counts and histograms are compared with the
+scanning probes, one int64 array comparison per field and case.
+Recurrence-time lists are verified in-place at every prefix: each listed
+backshift must actually match the suffix, the list must be strictly
+increasing, and its length must equal the independently computed match
+count, which together pin the list down to the exact set of in-segment
+occurrences.
 """
 
 from __future__ import annotations
@@ -20,13 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import (
-    PayoffFunction,
-    Schedules,
-    estimate,
-    estimate_distribution,
-    recurrence_times,
-)
+from .estimator import Schedules, probe, recurrence_times
 from .seeding import derive_seed
 from .sequences import Alphabet, SymbolSequence
 from .streaming import StreamingEstimator
@@ -34,6 +31,7 @@ from .streaming import StreamingEstimator
 __all__ = ["EquivalenceReport", "verify_equivalence"]
 
 _ALPHABET_SIZES = (2, 3, 4)
+_FIELDS = ("context_len", "matches", "histogram")
 
 
 @dataclass(frozen=True)
@@ -69,10 +67,10 @@ def verify_equivalence(
         data = rng.integers(0, size, length).astype(np.uint8)
         alphabet = Alphabet.of_size(size)
         schedules = schedules_for(size) if schedules_for else Schedules.default(size)
-        payoff = PayoffFunction(alphabet, tuple((x + 1.0) / (x + 2.0) for x in range(size)))
         seq = SymbolSequence(alphabet, data.tobytes())
         arr = seq.as_array()
         streaming = estimator_factory(alphabet, schedules, horizon=length - 1 if length > 1 else 1)
+        abstain = (0, 0, [0] * size)
 
         def fail(n: int, field: str, expected, got, route: str = "streaming") -> EquivalenceReport:
             head = data[: n + 1]
@@ -94,46 +92,32 @@ def verify_equivalence(
             )
 
         (part,) = kernel.replay(data, size, schedules, chunk=length)
-        # the scanning route per prefix, packed for the kernel route's comparison
-        want_kappa, want_matches, want_probs, want_values = array("q"), array("q"), array("d"), array("d")
+        # the scanning probes, packed for the kernel route's comparison
+        want_kappa, want_matches, want_hist = array("q"), array("q"), array("q")
         for n in range(length):
             streaming.push(int(data[n]))
-            want_dist = estimate_distribution(seq, n, schedules)
-            got_dist = streaming.current_distribution()
-            if want_dist != got_dist:
-                for field in ("context_len", "matches", "abstained", "probs"):
-                    w, g = getattr(want_dist, field), getattr(got_dist, field)
+            want = probe(seq, n, schedules) or abstain
+            got = streaming.probe() or abstain
+            if want != got:
+                for field, w, g in zip(_FIELDS, want, got):
                     if w != g:
                         return fail(n, field, w, g)
-            want_est = estimate(seq, n, payoff, schedules)
-            got_est = streaming.current_estimate(payoff)
-            if want_est != got_est:
-                return fail(n, "estimate", want_est, got_est)
-            want_kappa.append(want_dist.context_len)
-            want_matches.append(want_dist.matches)
-            want_probs.extend(want_dist.probs)
-            want_values.append(want_est.value)
-            k = want_dist.context_len
+            k, matches, hist = want
+            want_kappa.append(k)
+            want_matches.append(matches)
+            want_hist.extend(hist)
             if k > 0:
                 times = recurrence_times(seq, n, k)
-                problem = _times_defect(arr, n, k, times, want_dist.matches)
+                problem = _times_defect(arr, n, k, times, matches)
                 if problem:
                     return fail(n, "recurrence_times", problem, times)
             prefixes += 1
-        want = {
-            "context_len": np.frombuffer(want_kappa, np.int64),
-            "matches": np.frombuffer(want_matches, np.int64),
-            "probs": np.frombuffer(want_probs).reshape(length, size),
-            "estimate": np.frombuffer(want_values),
-        }
-        got = {
-            "context_len": part.kappa,
-            "matches": part.matches,
-            "probs": part.probs,
-            "estimate": kernel.payoff_means(part.hist, payoff.values, part.matches),
-        }
-        for field, w in want.items():
-            g = got[field]
+        want = (
+            np.frombuffer(want_kappa, np.int64),
+            np.frombuffer(want_matches, np.int64),
+            np.frombuffer(want_hist, np.int64).reshape(length, size),
+        )
+        for field, w, g in zip(_FIELDS, want, (part.kappa, part.matches, part.hist)):
             if not np.array_equal(w, g):
                 n = int(np.flatnonzero((w != g).reshape(length, -1).any(axis=1))[0])
                 return fail(n, field, w[n].tolist(), g[n].tolist(), "kernel")

@@ -13,7 +13,7 @@ from nextsym import (
     estimate,
     estimate_distribution,
     occurrence_count,
-    payoff_mean,
+    payoff_means,
     recurrence_times,
     successor_histogram,
 )
@@ -178,7 +178,25 @@ class TestEstimate:
                 assert successor_histogram(s, n, k) == hist
                 g = PayoffFunction(alphabet, tuple((x + 1.0) / (x + 2.0) for x in range(size)))
                 r = estimate(s, n, g, sch)
-                assert r.value == payoff_mean(hist, g.values, sum(hist))
+                assert r.value == payoff_means(np.array([hist]), g.values, np.array([sum(hist)]))[0]
+
+    def test_payoff_means_rows_equal_a_sequential_float_sum(self):
+        # each row is accumulated in alphabet order with Python floats, divided once, then clamped
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            size = int(rng.integers(2, 6))
+            values = tuple(float(v) for v in rng.choice([-1, 1], size) * 10.0 ** rng.uniform(-5, 5, size))
+            hist = rng.integers(0, 4, (20, size)) * (rng.random((20, size)) < 0.6)
+            matches = hist.sum(axis=1)
+            got = payoff_means(hist, values, matches)
+            for row, m, value in zip(hist.tolist(), matches.tolist(), got.tolist()):
+                seen = [v for c, v in zip(row, values) if c]
+                total = 0.0
+                for c, v in zip(row, values):
+                    if c:
+                        total += c * v
+                want = min(max(total / m, min(seen)), max(seen)) if m else 0.0
+                assert value == want
 
 
 class TestDStar:

@@ -32,6 +32,7 @@ __all__ = [
     "DistributionEstimate",
     "schedule_K",
     "schedule_J",
+    "SqrtJ",
     "LogK",
     "ConstantSchedule",
     "LinearJ",
@@ -52,11 +53,27 @@ def schedule_K(n: int, alphabet_size: int) -> int:
     return LogK(alphabet_size, 0.1).value(n)
 
 
-def schedule_J(n: int) -> int:
-    """Default occurrence threshold: max(1, ceil(sqrt(n))), exact in integers."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return math.isqrt(n - 1) + 1 if n > 1 else 1
+class SqrtJ:
+    """Default occurrence threshold J(n) = max(1, ceil(sqrt(n))), exact in integers."""
+
+    __slots__ = ()
+
+    def __call__(self, n: int) -> int:
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        return math.isqrt(n - 1) + 1
+
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        """J(n) for n in [lo, hi) as an int64 array: a float square root
+        corrected to the integer one."""
+        m = np.arange(lo - 1, hi - 1, dtype=np.int64)  # n - 1
+        r = np.sqrt(m).astype(np.int64)  # isqrt(n - 1), or one off it
+        r -= r * r > m
+        r += (r + 1) * (r + 1) <= m
+        return r + 1
+
+
+schedule_J = SqrtJ()
 
 
 @dataclass(frozen=True)
@@ -67,7 +84,7 @@ class Schedules:
     Both must be nondecreasing and tend to infinity for the consistency
     results to apply (and J(n)/n -> 0 for the context length to diverge).
     Custom schedules are accepted; the defaults are :func:`schedule_K` and
-    :func:`schedule_J`.  A schedule object may also define ``values(lo, hi)``,
+    ``schedule_J``.  A schedule object may also define ``values(lo, hi)``,
     its values for n in [lo, hi) as an int64 array, which the replay kernel
     then uses instead of one call per n.
     """

@@ -24,6 +24,7 @@ divergence check, and the short-return-time bound.
 from __future__ import annotations
 
 import math
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
@@ -241,11 +242,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     so output bytes depend only on the config.
     """
     cfg = config.resolved()
-    if cfg.workers == 1 or cfg.replicates == 1:
+    # the pool starts every worker at the first submit, so never ask for more than the machine has
+    workers = min(cfg.workers, cfg.replicates, os.cpu_count() or 1)
+    if workers == 1:
         per_rep = [_run_replicate(cfg, r) for r in range(cfg.replicates)]
     else:
         per_rep = [None] * cfg.replicates
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, cfg.replicates)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_run_replicate, cfg, r): r for r in range(cfg.replicates)}
             for fut in as_completed(futures):
                 per_rep[futures[fut]] = fut.result()

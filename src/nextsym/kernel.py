@@ -29,7 +29,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .estimator import Schedules, schedule_J
+from .estimator import Schedules
 
 __all__ = ["CHUNK", "Replayed", "chunk_rows", "replay", "schedule_values"]
 
@@ -60,16 +60,9 @@ class Replayed(NamedTuple):
 def schedule_values(fn: Callable[[int], int], lo: int, hi: int) -> np.ndarray:
     """fn(n) for every n in [lo, hi) as an exact int64 array.
 
-    The default J is evaluated by a float square root corrected to the
-    integer one; schedules with a ``values`` method use it; any other
-    callable is called once per n.
+    Schedules with a ``values`` method use it; any other callable is called
+    once per n.
     """
-    if fn is schedule_J:
-        m = np.arange(lo - 1, hi - 1, dtype=np.int64)  # n - 1
-        r = np.sqrt(m).astype(np.int64)  # isqrt(n - 1), or one off it
-        r -= r * r > m
-        r += (r + 1) * (r + 1) <= m
-        return r + 1
     values = getattr(fn, "values", None)
     if values is not None:
         return values(lo, hi)

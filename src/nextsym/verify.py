@@ -128,11 +128,11 @@ def _times_defect(arr: np.ndarray, n: int, k: int, times: list, matches: int) ->
     """Reason the recurrence-time list is wrong, or None when it is exact."""
     if len(times) != matches:
         return f"expected {matches} entries, got {len(times)}"
-    if any(b <= a for a, b in zip(times, times[1:])):
-        return "entries not strictly increasing"
     if not times:
         return None
     t_arr = np.array(times)
+    if (np.diff(t_arr) <= 0).any():
+        return "entries not strictly increasing"
     if t_arr[0] < 1 or t_arr[-1] > n - k + 1:
         return "entry outside [1, n-k+1]"
     starts = n - k + 1 - t_arr

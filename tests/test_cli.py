@@ -234,8 +234,23 @@ class TestVerify:
         report = verify_equivalence(cases=5, max_n=40, seed=5, estimator_factory=OffByOne)
         assert not report.ok
         ce = report.counterexample
-        assert ce["field"] in ("context_len", "matches", "abstained", "probs", "estimate")
+        assert ce["field"] == "context_len" and ce["route"] == "streaming"
         assert isinstance(ce["n"], int) and ce["prefix"]
+
+    def test_broken_kernel_is_named(self, monkeypatch):
+        replay = kernel.replay
+
+        def off_by_one(*args, **kwargs):
+            for part in replay(*args, **kwargs):
+                part.hist[len(part.hist) // 2, 0] += 1
+                yield part
+
+        monkeypatch.setattr(kernel, "replay", off_by_one)
+        report = verify_equivalence(cases=3, max_n=40, seed=5)
+        assert not report.ok
+        ce = report.counterexample
+        assert ce["route"] == "kernel" and ce["field"] == "histogram" and ce["case"] == 0
+        assert ce["kernel"][0] == ce["scanning"][0] + 1
 
     def test_trivial_max_n(self):
         report = verify_equivalence(cases=3, max_n=1, seed=1)

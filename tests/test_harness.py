@@ -145,6 +145,39 @@ class TestRunExperiment:
         res1, res2 = run_experiment(cfg1), run_experiment(cfg2)
         assert res1.rows == res2.rows and res1.tails == res2.tails
 
+    @pytest.mark.parametrize("cpus, pool_size", [(3, 3), (1, None), (None, None)])
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, cpus, pool_size):
+        from concurrent.futures import Future
+
+        from nextsym import harness
+
+        sizes = []
+
+        class FakePool:
+            """Runs every task at submit, in the calling process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        cfg = ExperimentConfig(spec=FLIP, horizon=256, replicates=6, payoff=IND1, base_seed=11, workers=5000)
+        res = run_experiment(cfg)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        serial = run_experiment(ExperimentConfig(spec=FLIP, horizon=256, replicates=6, payoff=IND1, base_seed=11))
+        assert res.rows == serial.rows and res.tails == serial.tails
+
     def test_replicate_rows_depend_only_on_base_seed_and_index(self):
         small = run_experiment(ExperimentConfig(spec=FLIP, horizon=512, replicates=3, payoff=IND1, base_seed=21))
         large = run_experiment(ExperimentConfig(spec=FLIP, horizon=512, replicates=6, payoff=IND1, base_seed=21))

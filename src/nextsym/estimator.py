@@ -300,7 +300,8 @@ class EstimateResult:
         if hit is None:
             return cls(0.0, 0, 0, True)
         k, matches, hist = hit
-        return cls(float(payoff_means(np.array([hist]), payoff.values, np.array([matches]))[0]), k, matches, False)
+        value = payoff_means(np.array([hist]), payoff.values, np.array([matches]))[0]
+        return cls(float(value), k, matches, False)
 
 
 @dataclass(frozen=True)

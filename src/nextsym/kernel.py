@@ -17,10 +17,9 @@ ending at e-1, X_e), and numbers are handed out in order of first
 appearance, so keys stay below (N+1)*|A| for every k.  Within a chunk the
 ends of each block are found by one stable sort of the keys.
 
-K and J come as exact arrays (:func:`schedule_values`); payoffs are reduced
-by :func:`~nextsym.estimator.payoff_means`, as on the other routes.  Results equal the scanning evaluator and the streaming index
-bit for bit; :func:`nextsym.verify.verify_equivalence` checks all three
-routes.
+K and J come as exact arrays (:func:`schedule_values`).  Results equal the
+scanning evaluator and the streaming index bit for bit;
+:func:`nextsym.verify.verify_equivalence` checks all three routes.
 """
 
 from __future__ import annotations

@@ -12,14 +12,12 @@ from .estimator import (
     PayoffFunction,
     Schedules,
     context_length,
-    d_star,
     estimate,
     estimate_distribution,
     occurrence_count,
     payoff_means,
     recurrence_times,
     schedule_J,
-    schedule_K,
     successor_histogram,
 )
 from .harness import (
@@ -34,7 +32,6 @@ from .harness import (
     check_lemma_resampling,
     check_return_time_bound,
     run_experiment,
-    total_variation,
 )
 from .processes import (
     HiddenMarkovProcess,
@@ -60,7 +57,6 @@ __all__ = [
     "PayoffFunction",
     "EstimateResult",
     "DistributionEstimate",
-    "schedule_K",
     "schedule_J",
     "recurrence_times",
     "context_length",
@@ -69,7 +65,6 @@ __all__ = [
     "estimate",
     "estimate_distribution",
     "payoff_means",
-    "d_star",
     "StreamingEstimator",
     "CapacityError",
     "IIDProcess",
@@ -91,7 +86,6 @@ __all__ = [
     "check_kappa_divergence",
     "ReturnTimeReport",
     "check_return_time_bound",
-    "total_variation",
     "EquivalenceReport",
     "verify_equivalence",
     "derive_seed",

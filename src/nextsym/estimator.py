@@ -30,7 +30,6 @@ __all__ = [
     "PayoffFunction",
     "EstimateResult",
     "DistributionEstimate",
-    "schedule_K",
     "schedule_J",
     "SqrtJ",
     "LogK",
@@ -44,13 +43,7 @@ __all__ = [
     "estimate_distribution",
     "probe",
     "payoff_means",
-    "d_star",
 ]
-
-
-def schedule_K(n: int, alphabet_size: int) -> int:
-    """Default context-length cap: max(1, floor(0.1 * log_base(n))), exact."""
-    return LogK(alphabet_size, 0.1).value(n)
 
 
 class SqrtJ:
@@ -83,10 +76,11 @@ class Schedules:
 
     Both must be nondecreasing and tend to infinity for the consistency
     results to apply (and J(n)/n -> 0 for the context length to diverge).
-    Custom schedules are accepted; the defaults are :func:`schedule_K` and
-    ``schedule_J``.  A schedule object may also define ``values(lo, hi)``,
-    its values for n in [lo, hi) as an int64 array, which the replay kernel
-    then uses instead of one call per n.
+    Custom schedules are accepted; the defaults are ``LogK(|A|, 0.1)``, that
+    is K(n) = max(1, floor(0.1 * log_|A|(n))), and ``schedule_J``.  A
+    schedule object may also define ``values(lo, hi)``, its values for n in
+    [lo, hi) as an int64 array, which the replay kernel then uses instead of
+    one call per n.
     """
 
     K: Callable[[int], int]
@@ -430,24 +424,6 @@ def payoff_means(hist: np.ndarray, values: Sequence[float], matches: np.ndarray)
     mean = total / np.maximum(matches, 1)
     mean = np.where(mean < lo, lo, np.where(mean > hi, hi, mean))
     return np.where(matches > 0, mean, 0.0)
-
-
-def d_star(x: Sequence[int], y: Sequence[int], depth: int) -> float:
-    """Distance between one-sided pasts, truncated to ``depth`` coordinates.
-
-    Coordinate i is the symbol i steps back; term i contributes 2^{-i-1}
-    when the coordinates differ.  The ignored tail is bounded by 2^{-depth}.
-    Conditional expectations that are continuous in this metric are the
-    class for which pointwise consistency holds: coordinates far in the
-    past must matter vanishingly.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    total = 0.0
-    for i in range(depth):
-        if x[i] != y[i]:
-            total += 2.0 ** (-i - 1)
-    return total
 
 
 def _match_starts(arr: np.ndarray, n: int, k: int) -> np.ndarray:

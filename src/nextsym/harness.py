@@ -49,7 +49,6 @@ __all__ = [
     "check_kappa_divergence",
     "ReturnTimeReport",
     "check_return_time_bound",
-    "total_variation",
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -148,10 +147,6 @@ class TailEstimate:
 class ExperimentResult:
     rows: tuple
     tails: tuple
-
-
-def total_variation(p: Sequence[float], q: Sequence[float]) -> float:
-    return 0.5 * sum(abs(a - b) for a, b in zip(p, q))
 
 
 def _wilson_halfwidth(fraction: float, n: int) -> float:

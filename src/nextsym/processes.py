@@ -10,6 +10,10 @@ distribution of the next symbol given the observed prefix:
 - ``HiddenMarkovProcess``: the conditional comes from the forward filter,
   renormalized each step so underflow cannot occur at any horizon.
 
+Each family owns its draw, block law, cursor and chunked conditionals, and
+computes the stationary laws they need once per spec; :func:`generate`,
+:func:`stationary_block_law` and :class:`Oracle` validate and hand over.
+
 Trajectories are drawn with the stationary law as the initial condition, so
 the generated segment is exactly stationary, and are bit-reproducible given
 (spec, seed): the generator is numpy's PCG64 and the draw order is fixed and
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -133,6 +138,29 @@ class IIDProcess:
         rows = _check_rows([self.probs], 1, self.alphabet.size, "probs")
         object.__setattr__(self, "probs", rows[0])
 
+    def _draw(self, rng: np.random.Generator, n_sym: int) -> bytearray:
+        cum = np.cumsum(self.probs)
+        draws = np.searchsorted(cum, rng.random(n_sym), side="right")
+        return bytearray(np.minimum(draws, self.alphabet.size - 1).astype(np.uint8).tobytes())
+
+    def _block_law(self, length: int) -> np.ndarray:
+        law = np.array(self.probs)
+        base = np.array(self.probs)
+        for _ in range(length - 1):
+            law = np.kron(law, base)
+        return law
+
+    def _cursor(self) -> _IIDCursor:
+        return _IIDCursor(self)
+
+    def _conditionals(self, seq: np.ndarray, chunk: int, cursor) -> Iterator[np.ndarray]:
+        """Every row is the law itself."""
+        size = self.alphabet.size
+        total = len(seq)
+        law = np.array(self.probs)
+        for lo in range(0, total, chunk):
+            yield np.broadcast_to(law, (min(chunk, total - lo), size))
+
 
 @dataclass(frozen=True)
 class MarkovProcess:
@@ -164,6 +192,103 @@ class MarkovProcess:
         ]
         _check_irreducible_aperiodic(succ, "block chain")
 
+    @cached_property
+    def _context_law(self) -> np.ndarray:
+        """Stationary law over order-k context codes, by sparse power iteration."""
+        size = self.alphabet.size
+        k = self.order
+        P = np.array(self.rows)  # (size^k, size)
+        n_ctx = size**k
+        if k == 1:
+            return stationary_distribution(P)
+        mod = size ** (k - 1)
+
+        def step(pi):  # mass pi[c] * P[c, b] flows to context (c mod mod) * size + b
+            return (pi[:, None] * P).reshape(size, mod * size).sum(axis=0)
+
+        return _power_iteration(step, n_ctx, "block-chain power iteration")
+
+    @cached_property
+    def _short_tables(self) -> list:
+        """Conditional tables for prefixes shorter than the order: entry m maps
+        the code of an m-symbol prefix to its next-symbol law, or to None when
+        the prefix has probability 0.  They are derived from the stationary
+        block law, so no approximation enters at n = 0."""
+        size = self.alphabet.size
+        k = self.order
+        marginals = [None] * (k + 1)
+        marginals[k] = self._context_law
+        for j in range(k - 1, 0, -1):
+            marginals[j] = marginals[j + 1].reshape(size**j, size).sum(axis=1)
+        short: list = [None]
+        for m in range(1, k):
+            p_m, p_next = marginals[m], marginals[m + 1]
+            table = []
+            for h in range(size**m):
+                if p_m[h] <= 0:
+                    table.append(None)
+                    continue
+                table.append(tuple(float(p_next[h * size + x] / p_m[h]) for x in range(size)))
+            short.append(table)
+        return short
+
+    def _draw(self, rng: np.random.Generator, n_sym: int) -> bytearray:
+        size = self.alphabet.size
+        k = self.order
+        state = min(int(np.searchsorted(np.cumsum(self._context_law), rng.random(), side="right")), size**k - 1)
+        data = bytearray(_decode_block(state, size, k)[:n_sym])
+        cums = [_cumulative(row) for row in self.rows]
+        mod = size ** (k - 1)
+        for lo in range(k, n_sym, _DRAW_CHUNK):
+            for u in rng.random(min(_DRAW_CHUNK, n_sym - lo)).tolist():
+                row = cums[state]
+                x = 0
+                while u >= row[x]:
+                    x += 1
+                data.append(x)
+                state = (state % mod) * size + x
+        return data
+
+    def _block_law(self, length: int) -> np.ndarray:
+        size = self.alphabet.size
+        k = self.order
+        pi_k = self._context_law
+        if length <= k:
+            return pi_k.reshape(size**length, -1).sum(axis=1)
+        law = pi_k
+        P = np.array(self.rows)
+        for i in range(k, length):
+            ctx = np.arange(size**i) % (size**k)
+            law = (law[:, None] * P[ctx]).reshape(-1)
+        return law
+
+    def _cursor(self) -> _MarkovCursor:
+        return _MarkovCursor(self)
+
+    def _conditionals(self, seq: np.ndarray, chunk: int, cursor) -> Iterator[np.ndarray]:
+        """Rows gathered by the code of the last ``order`` symbols, with the
+        same floats a cursor returns; the first ``order - 1`` rows, whose
+        prefixes are shorter than the order, come from walking ``cursor()``."""
+        size = self.alphabet.size
+        total = len(seq)
+        k = self.order
+        head = []
+        walk = cursor()
+        for x in seq[: k - 1].tolist():
+            walk.observe(x)
+            head.append(walk.conditional())
+        table = np.array(self.rows)
+        for lo in range(0, total, chunk):
+            hi = min(lo + chunk, total)
+            start = min(max(lo, k - 1), hi)  # first position with a full order-k context
+            code = np.zeros(hi - start, dtype=np.int64)
+            for i in range(k):
+                code = code * size + seq[start - k + 1 + i : hi - k + 1 + i]
+            out = table[code]
+            if start > lo:
+                out = np.concatenate([np.array(head[lo:start]).reshape(-1, size), out])
+            yield out
+
 
 @dataclass(frozen=True)
 class HiddenMarkovProcess:
@@ -183,6 +308,65 @@ class HiddenMarkovProcess:
         object.__setattr__(self, "emission", emit)
         if n_states > 1:
             _check_irreducible_aperiodic(_successors(np.array(trans)), "hidden chain")
+
+    @cached_property
+    def _hidden_law(self) -> np.ndarray:
+        """Stationary law of the hidden chain."""
+        return stationary_distribution(np.array(self.transition))
+
+    def _draw(self, rng: np.random.Generator, n_sym: int) -> bytearray:
+        A_cums = [_cumulative(row) for row in self.transition]
+        E_cums = [_cumulative(row) for row in self.emission]
+        pi_h = np.cumsum(self._hidden_law)
+        s = min(int(np.searchsorted(pi_h, rng.random(), side="right")), len(self.transition) - 1)
+        data = bytearray(n_sym)
+        m = 0
+        for lo in range(0, n_sym, _DRAW_CHUNK):
+            us = rng.random(2 * min(_DRAW_CHUNK, n_sym - lo)).tolist()
+            for i in range(0, len(us), 2):
+                u = us[i]
+                row = E_cums[s]
+                x = 0
+                while u >= row[x]:
+                    x += 1
+                data[m] = x
+                m += 1
+                u = us[i + 1]
+                row = A_cums[s]
+                s = 0
+                while u >= row[s]:
+                    s += 1
+        return data
+
+    def _block_law(self, length: int) -> np.ndarray:
+        size = self.alphabet.size
+        A = np.array(self.transition)
+        E = np.array(self.emission)
+        pi_h = self._hidden_law
+        law = np.empty(size**length)
+        for code in range(size**length):
+            syms = _decode_block(code, size, length)
+            v = pi_h * E[:, syms[0]]
+            for s in syms[1:]:
+                v = (v @ A) * E[:, s]
+            law[code] = v.sum()
+        return law
+
+    def _cursor(self) -> _HMMCursor:
+        return _HMMCursor(self)
+
+    def _conditionals(self, seq: np.ndarray, chunk: int, cursor) -> Iterator[np.ndarray]:
+        """Rows from one ``cursor()`` carried across chunks."""
+        size = self.alphabet.size
+        walk = cursor()
+        observe, conditional = walk.observe, walk.conditional
+        for lo in range(0, len(seq), chunk):
+            symbols = seq[lo : lo + chunk].tolist()
+            rows = np.empty((len(symbols), size))
+            for i, x in enumerate(symbols):
+                observe(x)
+                rows[i] = conditional()
+            yield rows
 
 
 ProcessSpec = Union[IIDProcess, MarkovProcess, HiddenMarkovProcess]
@@ -239,60 +423,14 @@ def _power_iteration(step, n: int, what: str) -> np.ndarray:
     return pi
 
 
-def _markov_block_stationary(spec: MarkovProcess) -> np.ndarray:
-    """Stationary law over order-k context codes, by sparse power iteration."""
-    size = spec.alphabet.size
-    k = spec.order
-    P = np.array(spec.rows)  # (size^k, size)
-    n_ctx = size**k
-    if k == 1:
-        return stationary_distribution(P)
-    mod = size ** (k - 1)
-
-    def step(pi):  # mass pi[c] * P[c, b] flows to context (c mod mod) * size + b
-        return (pi[:, None] * P).reshape(size, mod * size).sum(axis=0)
-
-    return _power_iteration(step, n_ctx, "block-chain power iteration")
-
-
 def stationary_block_law(spec: ProcessSpec, length: int) -> np.ndarray:
     """Stationary probability of every length-``length`` block, indexed by the
     block's base-|alphabet| code (earliest symbol most significant)."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    size = spec.alphabet.size
-    if not block_space_fits(size, length):
+    if not block_space_fits(spec.alphabet.size, length):
         raise ValueError("block space too large")
-    if isinstance(spec, IIDProcess):
-        law = np.array(spec.probs)
-        base = np.array(spec.probs)
-        for _ in range(length - 1):
-            law = np.kron(law, base)
-        return law
-    if isinstance(spec, MarkovProcess):
-        k = spec.order
-        pi_k = _markov_block_stationary(spec)
-        if length <= k:
-            return pi_k.reshape(size**length, -1).sum(axis=1)
-        law = pi_k
-        P = np.array(spec.rows)
-        for i in range(k, length):
-            ctx = np.arange(size**i) % (size**k)
-            law = (law[:, None] * P[ctx]).reshape(-1)
-        return law
-    if isinstance(spec, HiddenMarkovProcess):
-        A = np.array(spec.transition)
-        E = np.array(spec.emission)
-        pi_h = stationary_distribution(A)
-        law = np.empty(size**length)
-        for code in range(size**length):
-            syms = _decode_block(code, size, length)
-            v = pi_h * E[:, syms[0]]
-            for s in syms[1:]:
-                v = (v @ A) * E[:, s]
-            law[code] = v.sum()
-        return law
-    raise TypeError(f"unsupported process spec {type(spec).__name__}")
+    return spec._block_law(length)
 
 
 def _decode_block(code: int, size: int, length: int) -> list[int]:
@@ -327,51 +465,7 @@ def generate(spec: ProcessSpec, seed: int, horizon: int) -> Trajectory:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    size = spec.alphabet.size
-    n_sym = horizon + 1
-    if isinstance(spec, IIDProcess):
-        cum = np.cumsum(spec.probs)
-        draws = np.searchsorted(cum, rng.random(n_sym), side="right")
-        data = bytearray(np.minimum(draws, size - 1).astype(np.uint8).tobytes())
-    elif isinstance(spec, MarkovProcess):
-        k = spec.order
-        pi_k = _markov_block_stationary(spec)
-        state = min(int(np.searchsorted(np.cumsum(pi_k), rng.random(), side="right")), size**k - 1)
-        data = bytearray(_decode_block(state, size, k)[:n_sym])
-        cums = [_cumulative(row) for row in spec.rows]
-        mod = size ** (k - 1)
-        for lo in range(k, n_sym, _DRAW_CHUNK):
-            for u in rng.random(min(_DRAW_CHUNK, n_sym - lo)).tolist():
-                row = cums[state]
-                x = 0
-                while u >= row[x]:
-                    x += 1
-                data.append(x)
-                state = (state % mod) * size + x
-    elif isinstance(spec, HiddenMarkovProcess):
-        A_cums = [_cumulative(row) for row in spec.transition]
-        E_cums = [_cumulative(row) for row in spec.emission]
-        pi_h = np.cumsum(stationary_distribution(np.array(spec.transition)))
-        s = min(int(np.searchsorted(pi_h, rng.random(), side="right")), len(spec.transition) - 1)
-        data = bytearray(n_sym)
-        m = 0
-        for lo in range(0, n_sym, _DRAW_CHUNK):
-            us = rng.random(2 * min(_DRAW_CHUNK, n_sym - lo)).tolist()
-            for i in range(0, len(us), 2):
-                u = us[i]
-                row = E_cums[s]
-                x = 0
-                while u >= row[x]:
-                    x += 1
-                data[m] = x
-                m += 1
-                u = us[i + 1]
-                row = A_cums[s]
-                s = 0
-                while u >= row[s]:
-                    s += 1
-    else:
-        raise TypeError(f"unsupported process spec {type(spec).__name__}")
+    data = spec._draw(rng, horizon + 1)
     return Trajectory(seq=SymbolSequence(spec.alphabet, data))
 
 
@@ -379,123 +473,22 @@ class Oracle:
     """Exact evaluator of P(X_{n+1} = . | X_0..X_n) for a process spec.
 
     ``cursor()`` returns a stateful stream (observe one symbol at a time and
-    read the current conditional in O(1)-ish work); ``conditional`` answers
-    for a whole prefix at once.
+    read the current conditional in O(1)-ish work); ``conditionals`` answers
+    for every position of a whole sequence, chunk by chunk.
     """
 
     def __init__(self, spec: ProcessSpec):
         self.spec = spec
-        size = spec.alphabet.size
-        if isinstance(spec, IIDProcess):
-            self._kind = "iid"
-        elif isinstance(spec, MarkovProcess):
-            self._kind = "markov"
-            # conditional tables for prefixes shorter than the order, derived
-            # from the stationary block law so no approximation enters at n=0
-            k = spec.order
-            pi_k = _markov_block_stationary(spec)
-            marginals = [None] * (k + 1)
-            marginals[k] = pi_k
-            for j in range(k - 1, 0, -1):
-                marginals[j] = marginals[j + 1].reshape(size**j, size).sum(axis=1)
-            short: list = [None]
-            for m in range(1, k):
-                p_m, p_next = marginals[m], marginals[m + 1]
-                table = []
-                for h in range(size**m):
-                    if p_m[h] <= 0:
-                        table.append(None)
-                        continue
-                    table.append(tuple(float(p_next[h * size + x] / p_m[h]) for x in range(size)))
-                short.append(table)
-            self._short = short
-        elif isinstance(spec, HiddenMarkovProcess):
-            self._kind = "hmm"
-            self._A = np.array(spec.transition)
-            self._E = np.array(spec.emission)
-            self._pi_h = stationary_distribution(self._A)
-        else:
-            raise TypeError(f"unsupported process spec {type(spec).__name__}")
 
     def cursor(self):
-        if self._kind == "iid":
-            return _IIDCursor(self.spec)
-        if self._kind == "markov":
-            return _MarkovCursor(self.spec, self._short)
-        return _HMMCursor(self._A, self._E, self._pi_h, self.spec.alphabet.size)
+        return self.spec._cursor()
 
     def conditionals(self, seq: np.ndarray, chunk: int) -> Iterator[np.ndarray]:
         """P(X_{n+1} = . | X_0..X_n) for every position n of ``seq``, as
-        arrays of ``chunk`` rows (the last one may be shorter).
-
-        IID rows are the law itself and Markov rows are gathered by the code
-        of the last ``order`` symbols, with the same floats a cursor returns;
-        HMM rows come from one cursor carried across chunks.
-        """
-        size = self.spec.alphabet.size
-        total = len(seq)
-        if self._kind == "hmm":
-            cursor = self.cursor()
-            observe, conditional = cursor.observe, cursor.conditional
-            for lo in range(0, total, chunk):
-                symbols = seq[lo : lo + chunk].tolist()
-                rows = np.empty((len(symbols), size))
-                for i, x in enumerate(symbols):
-                    observe(x)
-                    rows[i] = conditional()
-                yield rows
-            return
-        if self._kind == "iid":
-            law = np.array(self.spec.probs)
-            for lo in range(0, total, chunk):
-                yield np.broadcast_to(law, (min(chunk, total - lo), size))
-            return
-        k = self.spec.order
-        table = np.array(self.spec.rows)
-        for lo in range(0, total, chunk):
-            hi = min(lo + chunk, total)
-            start = min(max(lo, k - 1), hi)  # first position with a full order-k context
-            code = np.zeros(hi - start, dtype=np.int64)
-            for i in range(k):
-                code = code * size + seq[start - k + 1 + i : hi - k + 1 + i]
-            out = table[code]
-            if start > lo:  # prefixes shorter than the order use the exact short tables
-                prefix = seq[:start].tolist()
-                head = [self.conditional(prefix, n) for n in range(lo, start)]
-                out = np.concatenate([np.array(head).reshape(-1, size), out])
-            yield out
-
-    def conditional(self, history, n: int | None = None) -> tuple:
-        """Conditional next-symbol distribution given history[0..n]."""
-        if n is None:
-            n = len(history) - 1
-        if n < 0 or n >= len(history):
-            raise ValueError(f"n={n} outside history of length {len(history)}")
-        size = self.spec.alphabet.size
-        if self._kind == "markov":
-            spec = self.spec
-            k = spec.order
-            if n >= k - 1:
-                code = _encode_slice(history, n - k + 1, n + 1, size)
-                return spec.rows[code]
-            cond = self._short[n + 1][_encode_slice(history, 0, n + 1, size)]
-            if cond is None:
-                raise ValueError("history has zero probability under the model")
-            return cond
-        cursor = self.cursor()
-        for i in range(n + 1):
-            cursor.observe(history[i])
-        return cursor.conditional()
-
-
-def _encode_slice(history, start: int, stop: int, size: int) -> int:
-    code = 0
-    for i in range(start, stop):
-        x = history[i]
-        if not 0 <= x < size:
-            raise ValueError(f"symbol index {x} at position {i} outside alphabet")
-        code = code * size + x
-    return code
+        arrays of ``chunk`` rows (the last one may be shorter).  Rows equal
+        the floats a cursor returns; wherever the family needs a cursor, it
+        comes from :meth:`cursor`."""
+        return self.spec._conditionals(seq, chunk, self.cursor)
 
 
 class _IIDCursor:
@@ -520,9 +513,9 @@ class _IIDCursor:
 class _MarkovCursor:
     __slots__ = ("_rows", "_short", "_k", "_size", "_mod", "_code", "_seen")
 
-    def __init__(self, spec: MarkovProcess, short):
+    def __init__(self, spec: MarkovProcess):
         self._rows = spec.rows
-        self._short = short
+        self._short = spec._short_tables
         self._k = spec.order
         self._size = spec.alphabet.size
         self._mod = self._size ** (self._k - 1)
@@ -553,13 +546,13 @@ class _MarkovCursor:
 class _HMMCursor:
     __slots__ = ("_A", "_E", "_pi", "_alpha", "_pred", "_size")
 
-    def __init__(self, A: np.ndarray, E: np.ndarray, pi_h: np.ndarray, size: int):
-        self._A = A
-        self._E = E
-        self._pi = pi_h
+    def __init__(self, spec: HiddenMarkovProcess):
+        self._A = np.array(spec.transition)
+        self._E = np.array(spec.emission)
+        self._pi = spec._hidden_law
         self._alpha = None
         self._pred = None  # alpha @ A, shared by conditional() and the next observe()
-        self._size = size
+        self._size = spec.alphabet.size
 
     def _predicted(self) -> np.ndarray:
         if self._pred is None:

@@ -29,7 +29,6 @@ from nextsym import (
     recurrence_times,
     run_experiment,
     schedule_J,
-    schedule_K,
     verify_equivalence,
 )
 from nextsym.cli import main
@@ -155,10 +154,11 @@ def test_criterion_7_return_time_bound():
 
 
 def test_criterion_8_schedule_unit_examples():
-    assert schedule_K(1024, 2) == 1
-    assert schedule_K(2**20, 2) == 2
-    assert schedule_K(2**30, 2) == 3
-    assert schedule_K(5, 2) == 1
+    K = Schedules.default(2).K
+    assert K(1024) == 1
+    assert K(2**20) == 2
+    assert K(2**30) == 3
+    assert K(5) == 1
     assert schedule_J(1) == 1
     assert schedule_J(100) == 10
     assert schedule_J(101) == 11

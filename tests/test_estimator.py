@@ -9,7 +9,6 @@ from nextsym import (
     Schedules,
     SymbolSequence,
     context_length,
-    d_star,
     estimate,
     estimate_distribution,
     occurrence_count,
@@ -197,32 +196,6 @@ class TestEstimate:
                         total += c * v
                 want = min(max(total / m, min(seen)), max(seen)) if m else 0.0
                 assert value == want
-
-
-class TestDStar:
-    def test_identical_is_zero(self):
-        assert d_star([0, 1, 1, 0], [0, 1, 1, 0], 4) == 0.0
-
-    def test_first_coordinate_half(self):
-        assert d_star([1, 1, 1], [0, 1, 1], 3) == 0.5
-
-    def test_all_differ_geometric_sum(self):
-        x = [0] * 20
-        y = [1] * 20
-        assert d_star(x, y, 20) == 1.0 - 2.0**-20
-
-    def test_matches_brute_sum(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            depth = int(rng.integers(1, 30))
-            x = rng.integers(0, 2, depth).tolist()
-            y = rng.integers(0, 2, depth).tolist()
-            expected = sum(2.0 ** (-i - 1) for i in range(depth) if x[i] != y[i])
-            assert d_star(x, y, depth) == expected
-
-    def test_depth_error(self):
-        with pytest.raises(ValueError):
-            d_star([0], [1], 0)
 
 
 class TestPayoffFunction:

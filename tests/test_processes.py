@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -11,6 +12,7 @@ from nextsym import (
     MarkovProcess,
     Oracle,
     generate,
+    processes,
     stationary_block_law,
     stationary_distribution,
 )
@@ -29,6 +31,14 @@ def linear_solve_stationary(P):
     b = np.zeros(n)
     b[-1] = 1.0
     return np.linalg.solve(A, b)
+
+
+def replay(spec, history):
+    """P(X_{n+1} = . | X_0..X_n) for the whole history, from a fresh cursor."""
+    cursor = Oracle(spec).cursor()
+    for x in history:
+        cursor.observe(x)
+    return cursor.conditional()
 
 
 def hmm_path_sum_conditional(spec, history):
@@ -171,10 +181,9 @@ class TestGenerate:
         th = generate(ident, 99, 500)
         tm = generate(FLIP, 99, 500)
         # same law, not same draws; match their conditionals instead
-        oh, om = Oracle(ident), Oracle(FLIP)
         hist = list(th.seq)[:50]
         for n in range(len(hist)):
-            assert np.allclose(oh.conditional(hist, n), om.conditional(hist, n), atol=1e-10)
+            assert np.allclose(replay(ident, hist[: n + 1]), replay(FLIP, hist[: n + 1]), atol=1e-10)
 
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
@@ -183,35 +192,31 @@ class TestGenerate:
 
 class TestOracle:
     def test_markov_row_readback(self):
-        o = Oracle(FLIP)
-        assert o.conditional([0, 1, 0]) == (0.7, 0.3)
-        assert o.conditional([0, 1]) == (0.3, 0.7)
+        assert replay(FLIP, [0, 1, 0]) == (0.7, 0.3)
+        assert replay(FLIP, [0, 1]) == (0.3, 0.7)
 
     def test_markov_short_history_matches_enumeration(self):
         # history of length 1 under an order-2 chain: weight the transition
         # rows by the stationary pair law of (X_{-1}, X_0)
         law = stationary_block_law(ORDER2, 2)
-        o = Oracle(ORDER2)
         for x0 in (0, 1):
             weights = np.array([law[a * 2 + x0] for a in (0, 1)])
             rows = np.array([ORDER2.rows[a * 2 + x0] for a in (0, 1)])
             expected = (weights[:, None] * rows).sum(axis=0) / weights.sum()
-            assert np.allclose(o.conditional([x0]), expected, atol=1e-10)
+            assert np.allclose(replay(ORDER2, [x0]), expected, atol=1e-10)
 
     def test_markov_conditional_ignores_old_coordinates(self):
         # d*-continuity witness: only the last k coordinates matter
-        o = Oracle(ORDER2)
         h1 = [0, 0, 0, 0, 1, 0]
         h2 = [1, 1, 1, 0, 1, 0]
-        assert o.conditional(h1) == o.conditional(h2)
+        assert replay(ORDER2, h1) == replay(ORDER2, h2)
 
     def test_hmm_filter_matches_path_sum(self):
-        o = Oracle(HMM2)
         rng = np.random.default_rng(31)
         for _ in range(20):
             m = int(rng.integers(1, 9))
             hist = rng.integers(0, 2, m).tolist()
-            got = o.conditional(hist)
+            got = replay(HMM2, hist)
             want = hmm_path_sum_conditional(HMM2, hist)
             assert np.abs(np.array(got) - want).max() <= 1e-10
 
@@ -222,36 +227,45 @@ class TestOracle:
             ((0.8, 0.1, 0.1), (0.2, 0.7, 0.1), (0.3, 0.3, 0.4)),
             ((0.6, 0.3, 0.1), (0.1, 0.8, 0.1), (0.2, 0.2, 0.6)),
         )
-        o = Oracle(spec)
         rng = np.random.default_rng(32)
         for _ in range(10):
             hist = rng.integers(0, 3, int(rng.integers(1, 8))).tolist()
-            got = np.array(o.conditional(hist))
+            got = np.array(replay(spec, hist))
             want = hmm_path_sum_conditional(spec, hist)
             assert np.abs(got - want).max() <= 1e-10
             assert abs(got.sum() - 1.0) <= 1e-10
 
     def test_cursor_agrees_with_replay(self):
         for spec in (IIDProcess(BINARY, (0.3, 0.7)), FLIP, ORDER2, HMM2):
-            o = Oracle(spec)
-            hist = list(generate(spec, 17, 60).seq)
-            cursor = o.cursor()
-            for n, x in enumerate(hist):
+            seq = generate(spec, 17, 60).seq.as_array()
+            rows = np.concatenate(list(Oracle(spec).conditionals(seq, 7)))
+            cursor = Oracle(spec).cursor()
+            for n, x in enumerate(seq.tolist()):
                 cursor.observe(x)
-                assert np.allclose(cursor.conditional(), o.conditional(hist, n), atol=1e-12)
+                assert cursor.conditional() == tuple(rows[n])
 
     def test_empty_history_rejected(self):
-        o = Oracle(FLIP)
-        with pytest.raises(ValueError):
-            o.conditional([])
-        cursor = o.cursor()
-        with pytest.raises(ValueError):
-            cursor.conditional()
+        for spec in (IIDProcess(BINARY, (0.3, 0.7)), FLIP, ORDER2, HMM2):
+            with pytest.raises(ValueError):
+                replay(spec, [])
 
     def test_invalid_symbols_rejected(self):
-        o = Oracle(FLIP)
-        with pytest.raises(ValueError):
-            o.conditional([0, 5])
+        for spec in (IIDProcess(BINARY, (0.3, 0.7)), FLIP, ORDER2, HMM2):
+            with pytest.raises(ValueError):
+                replay(spec, [0, 5])
+
+    @pytest.mark.parametrize("spec, law", [(ORDER2, "_power_iteration"), (HMM2, "stationary_distribution")])
+    def test_stationary_law_is_computed_once_per_spec(self, monkeypatch, spec, law):
+        spec = dataclasses.replace(spec)  # an equal spec that has computed nothing yet
+        calls = []
+        original = getattr(processes, law)
+        monkeypatch.setattr(processes, law, lambda *args: calls.append(law) or original(*args))
+        seq = generate(spec, 1, 300).seq.as_array()
+        generate(spec, 2, 300)
+        generate(spec, 3, 300)
+        list(Oracle(spec).conditionals(seq, 64))
+        stationary_block_law(spec, 2)
+        assert len(calls) == 1
 
 
 class TestBlockLaw:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nextsym import Schedules, schedule_J, schedule_K
+from nextsym import Schedules, schedule_J
 from nextsym.estimator import ConstantSchedule, LinearJ, LogK
 from nextsym.kernel import schedule_values
 
@@ -16,31 +16,32 @@ def integer_log_floor(n: int, base: int) -> int:
 
 class TestScheduleK:
     def test_examples(self):
-        assert schedule_K(1024, 2) == 1
-        assert schedule_K(2**20, 2) == 2
-        assert schedule_K(2**30, 2) == 3
-        assert schedule_K(5, 2) == 1
+        K = Schedules.default(2).K
+        assert K(1024) == 1
+        assert K(2**20) == 2
+        assert K(2**30) == 3
+        assert K(5) == 1
 
     @pytest.mark.parametrize("base", [2, 3, 4])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_exact_power_boundaries(self, base, m):
         n = base ** (10 * m)
-        assert schedule_K(n, base) == m
-        assert schedule_K(n - 1, base) == max(1, m - 1)
-        assert schedule_K(n + 1, base) == m
+        assert LogK(base, 0.1)(n) == m
+        assert LogK(base, 0.1)(n - 1) == max(1, m - 1)
+        assert LogK(base, 0.1)(n + 1) == m
 
     def test_matches_integer_oracle_on_random_inputs(self):
         rng = np.random.default_rng(1)
         for _ in range(2000):
             base = int(rng.integers(2, 5))
             n = int(rng.integers(1, 10**9))
-            assert schedule_K(n, base) == max(1, integer_log_floor(n, base))
+            assert LogK(base, 0.1)(n) == max(1, integer_log_floor(n, base))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            schedule_K(0, 2)
+            Schedules.default(2).K(0)
         with pytest.raises(ValueError):
-            schedule_K(10, 1)
+            Schedules.default(1)
 
 
 class TestScheduleJ:
@@ -78,7 +79,7 @@ def test_defaults_nondecreasing_and_growing():
 def test_default_K_wrapper_is_cached_step_function():
     sch = Schedules.default(2)
     ns = [1, 5, 1023, 1024, 2**18, 2**20 - 1, 2**20, 2**20 + 1, 2**25, 2**30]
-    assert [sch.K(n) for n in ns] == [schedule_K(n, 2) for n in ns]
+    assert [sch.K(n) for n in ns] == [max(1, integer_log_floor(n, 2)) for n in ns]
     # out-of-order queries hit and refresh the bracket cache
     assert sch.K(2**30) == 3 and sch.K(17) == 1 and sch.K(2**21) == 2
 
@@ -112,11 +113,6 @@ class TestLogK:
             while n**p >= base ** ((m + 1) * q):
                 m += 1
             assert LogK(base, coeff)(n) == m
-
-    def test_default_is_schedule_K(self):
-        assert Schedules.default(3).K == LogK(3, 0.1)
-        for n in (1, 3**10 - 1, 3**10, 3**20, 3**20 + 5):
-            assert LogK(3, 0.1)(n) == schedule_K(n, 3)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -38,6 +38,7 @@ from .harness import (
     run_experiment,
 )
 from .processes import RNG_ALGORITHM
+from .seeding import MAX_SEED
 from .verify import verify_equivalence
 
 CSV_SCHEMA_VERSION = 1
@@ -199,6 +200,8 @@ def cmd_verify(args) -> int:
     for flag, value in (("--cases", args.cases), ("--max-n", args.max_n)):
         if value < 1:
             raise ConfigError(f"{flag} must be >= 1")
+    if not 0 <= args.seed <= MAX_SEED:
+        raise ConfigError(f"--seed must be in 0..{MAX_SEED}, got {args.seed}")
     report = verify_equivalence(cases=args.cases, max_n=args.max_n, seed=args.seed)
     if report.ok:
         print(

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .estimator import ConstantSchedule, LinearJ, LogK, PayoffFunction, Schedules, schedule_J
 from .harness import ExperimentConfig
 from .processes import MAX_BLOCKS, HiddenMarkovProcess, IIDProcess, MarkovProcess, ProcessSpec, block_space_fits
+from .seeding import MAX_SEED
 from .sequences import MAX_ALPHABET, Alphabet
 
 __all__ = [
@@ -222,7 +223,7 @@ def build_experiment(doc: dict, spec: ProcessSpec, schedules: Schedules) -> Expe
         raise ConfigError("experiment section is required and must be an object")
     horizon = _number(section.get("horizon"), "experiment.horizon", integer=True)
     replicates = _number(section.get("replicates", 1), "experiment.replicates", integer=True)
-    base_seed = _number(section.get("base_seed", 0), "experiment.base_seed", integer=True)
+    base_seed = _integer(section.get("base_seed", 0), "experiment.base_seed", 0, MAX_SEED)
     workers = _number(section.get("workers", 1), "experiment.workers", integer=True)
     grid = section.get("eval_grid")
     if grid is not None:
@@ -341,14 +342,14 @@ def build_lemma_plan(doc: dict, spec: ProcessSpec, schedules: Schedules) -> Lemm
     return LemmaPlan(
         resampling_cases=tuple(cases),
         resampling_replicates=_integer(res.get("replicates", 5000), "resampling.replicates", 1),
-        resampling_seed=_number(res.get("base_seed", 101), "resampling.base_seed", integer=True),
+        resampling_seed=_integer(res.get("base_seed", 101), "resampling.base_seed", 0, MAX_SEED),
         divergence_horizon=div_horizon,
         divergence_replicates=_integer(div.get("replicates", 100), "divergence.replicates", 1),
         divergence_schedules=div_sched,
-        divergence_seed=_number(div.get("base_seed", 102), "divergence.base_seed", integer=True),
+        divergence_seed=_integer(div.get("base_seed", 102), "divergence.base_seed", 0, MAX_SEED),
         return_block=block,
         return_window=_integer(ret.get("window", 100), "return_time.window", 1),
         return_threshold=_integer(ret.get("threshold", 30), "return_time.threshold", 1),
         return_replicates=_integer(ret.get("replicates", 20000), "return_time.replicates", 1),
-        return_seed=_number(ret.get("base_seed", 104), "return_time.base_seed", integer=True),
+        return_seed=_integer(ret.get("base_seed", 104), "return_time.base_seed", 0, MAX_SEED),
     )

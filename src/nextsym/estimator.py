@@ -262,16 +262,6 @@ class PayoffFunction:
         z = alphabet.encode(symbol)
         return cls(alphabet, tuple(1.0 if i == z else 0.0 for i in range(alphabet.size)))
 
-    @classmethod
-    def constant(cls, alphabet: Alphabet, value: float) -> "PayoffFunction":
-        return cls(alphabet, (float(value),) * alphabet.size)
-
-    def lo(self) -> float:
-        return min(self.values)
-
-    def hi(self) -> float:
-        return max(self.values)
-
 
 @dataclass(frozen=True)
 class EstimateResult:

@@ -35,7 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .estimator import PayoffFunction, Schedules, payoff_means, recurrence_times
 from .processes import Oracle, ProcessSpec, generate, stationary_block_law
-from .seeding import derive_seed
+from .seeding import MAX_SEED, derive_seed
 
 __all__ = [
     "ExperimentConfig",
@@ -88,7 +88,7 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if not 0 <= self.base_seed < 1 << 64:
+        if not 0 <= self.base_seed <= MAX_SEED:
             raise ValueError("base_seed must be a 64-bit unsigned integer")
         schedules = self.schedules or Schedules.default(self.spec.alphabet.size)
         grid = self.eval_grid if self.eval_grid is not None else default_eval_grid(self.horizon)

@@ -209,34 +209,22 @@ class MarkovProcess:
         return _power_iteration(step, n_ctx, "block-chain power iteration")
 
     @cached_property
-    def _short_tables(self) -> list:
-        """Conditional tables for prefixes shorter than the order: entry m maps
-        the code of an m-symbol prefix to its next-symbol law, or to None when
-        the prefix has probability 0.  They are derived from the stationary
-        block law, so no approximation enters at n = 0."""
+    def _marginals(self) -> list:
+        """Stationary law of the blocks of every length m <= order, at index
+        m (index 0 is unused), each summed from the next longer one.  The
+        cursor's short-prefix conditionals and the short block laws read
+        these same floats, so no approximation enters at n = 0."""
         size = self.alphabet.size
-        k = self.order
-        marginals = [None] * (k + 1)
-        marginals[k] = self._context_law
-        for j in range(k - 1, 0, -1):
-            marginals[j] = marginals[j + 1].reshape(size**j, size).sum(axis=1)
-        short: list = [None]
-        for m in range(1, k):
-            p_m, p_next = marginals[m], marginals[m + 1]
-            table = []
-            for h in range(size**m):
-                if p_m[h] <= 0:
-                    table.append(None)
-                    continue
-                table.append(tuple(float(p_next[h * size + x] / p_m[h]) for x in range(size)))
-            short.append(table)
-        return short
+        marginals = [self._context_law]
+        for _ in range(self.order - 1):
+            marginals.append(marginals[-1].reshape(-1, size).sum(axis=1))
+        return [None] + marginals[::-1]
 
     def _draw(self, rng: np.random.Generator, n_sym: int) -> bytearray:
         size = self.alphabet.size
         k = self.order
         state = min(int(np.searchsorted(np.cumsum(self._context_law), rng.random(), side="right")), size**k - 1)
-        data = bytearray(_decode_block(state, size, k)[:n_sym])
+        data = bytearray(state // size ** (k - 1 - i) % size for i in range(k))[:n_sym]
         cums = [_cumulative(row) for row in self.rows]
         mod = size ** (k - 1)
         for lo in range(k, n_sym, _DRAW_CHUNK):
@@ -252,10 +240,9 @@ class MarkovProcess:
     def _block_law(self, length: int) -> np.ndarray:
         size = self.alphabet.size
         k = self.order
-        pi_k = self._context_law
         if length <= k:
-            return pi_k.reshape(size**length, -1).sum(axis=1)
-        law = pi_k
+            return self._marginals[length].copy()
+        law = self._context_law
         P = np.array(self.rows)
         for i in range(k, length):
             ctx = np.arange(size**i) % (size**k)
@@ -339,18 +326,14 @@ class HiddenMarkovProcess:
         return data
 
     def _block_law(self, length: int) -> np.ndarray:
-        size = self.alphabet.size
+        """One forward pass over all blocks at once: row ``code`` of ``mass``
+        holds P(block ``code``, hidden state at its last symbol)."""
         A = np.array(self.transition)
-        E = np.array(self.emission)
-        pi_h = self._hidden_law
-        law = np.empty(size**length)
-        for code in range(size**length):
-            syms = _decode_block(code, size, length)
-            v = pi_h * E[:, syms[0]]
-            for s in syms[1:]:
-                v = (v @ A) * E[:, s]
-            law[code] = v.sum()
-        return law
+        E_T = np.array(self.emission).T  # (size, S)
+        mass = self._hidden_law * E_T
+        for _ in range(length - 1):
+            mass = ((mass @ A)[:, None, :] * E_T).reshape(-1, len(A))
+        return mass.sum(axis=1)
 
     def _cursor(self) -> _HMMCursor:
         return _HMMCursor(self)
@@ -433,14 +416,6 @@ def stationary_block_law(spec: ProcessSpec, length: int) -> np.ndarray:
     return spec._block_law(length)
 
 
-def _decode_block(code: int, size: int, length: int) -> list[int]:
-    syms = [0] * length
-    for i in range(length - 1, -1, -1):
-        syms[i] = code % size
-        code //= size
-    return syms
-
-
 def _cumulative(row: Sequence[float]) -> list[float]:
     acc = 0.0
     out = []
@@ -511,11 +486,11 @@ class _IIDCursor:
 
 
 class _MarkovCursor:
-    __slots__ = ("_rows", "_short", "_k", "_size", "_mod", "_code", "_seen")
+    __slots__ = ("_rows", "_marginals", "_k", "_size", "_mod", "_code", "_seen")
 
     def __init__(self, spec: MarkovProcess):
         self._rows = spec.rows
-        self._short = spec._short_tables
+        self._marginals = spec._marginals
         self._k = spec.order
         self._size = spec.alphabet.size
         self._mod = self._size ** (self._k - 1)
@@ -537,10 +512,11 @@ class _MarkovCursor:
             raise ValueError("conditional undefined before any observation")
         if seen >= self._k:
             return self._rows[self._code]
-        cond = self._short[seen][self._code]
-        if cond is None:
+        code, size = self._code, self._size
+        mass = self._marginals[seen][code]
+        if mass <= 0:
             raise ValueError("history has zero probability under the model")
-        return cond
+        return tuple((self._marginals[seen + 1][code * size : (code + 1) * size] / mass).tolist())
 
 
 class _HMMCursor:

@@ -9,6 +9,7 @@ produce correlated PCG64 streams.
 from __future__ import annotations
 
 _MASK = (1 << 64) - 1
+MAX_SEED = _MASK  # base seeds are 64-bit words; any other integer would alias one of them
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB

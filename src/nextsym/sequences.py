@@ -6,7 +6,7 @@ sequences of a few million symbols stay cheap to hold and iterate.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -52,9 +52,6 @@ class Alphabet:
         except (KeyError, TypeError):  # an unhashable value is no symbol either
             raise ValueError(f"unknown symbol {symbol!r}") from None
 
-    def decode(self, index: int):
-        return self.symbols[index]
-
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -80,31 +77,16 @@ class SymbolSequence:
     def __init__(self, alphabet: Alphabet, values: Iterable[int] = ()):
         self.alphabet = alphabet
         data = bytearray(values)
-        if data and max(data) >= alphabet.size:
+        # the view is a temporary: a live export would stop append() from resizing data
+        if data and np.frombuffer(data, np.uint8).max() >= alphabet.size:
             bad = next(i for i, v in enumerate(data) if v >= alphabet.size)
             raise ValueError(f"symbol index {data[bad]} at position {bad} outside alphabet")
         self._data = data
-
-    @classmethod
-    def from_symbols(cls, alphabet: Alphabet, tokens: Iterable) -> "SymbolSequence":
-        return cls(alphabet, (alphabet.encode(t) for t in tokens))
 
     def append(self, index: int) -> None:
         if not 0 <= index < self.alphabet.size:
             raise ValueError(f"symbol index {index} outside alphabet of size {self.alphabet.size}")
         self._data.append(index)
-
-    def extend(self, indices: Iterable[int]) -> None:
-        for i in indices:
-            self.append(i)
-
-    def block(self, start: int, stop: int) -> tuple:
-        """Indices in positions [start, stop) as a tuple."""
-        return tuple(self._data[start:stop])
-
-    def to_symbols(self) -> list:
-        dec = self.alphabet.symbols
-        return [dec[i] for i in self._data]
 
     def as_array(self) -> np.ndarray:
         """Snapshot copy of the data as a uint8 array (safe to keep around)."""

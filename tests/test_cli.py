@@ -120,6 +120,14 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert "schedules.K.coeff" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_base_seed_names_its_field(self, tmp_path, capsys, seed):
+        doc = json.loads(json.dumps(MARKOV_DOC))
+        doc["experiment"]["base_seed"] = seed
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: experiment.base_seed must be in 0..18446744073709551615")
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
@@ -322,8 +330,12 @@ class TestLemmas:
         ("return_time.window", 0),
         ("return_time.threshold", 0),
         ("return_time.replicates", 0),
+        ("resampling.base_seed", -1),  # seeds are 64-bit words: these would alias others
+        ("divergence.base_seed", 2**64 + 1),
+        ("return_time.base_seed", -1),
         ("--cases", 0),
         ("--max-n", 0),
+        ("--seed", -5),
     ],
 )
 def test_out_of_range_input_exits_two_naming_its_field(tmp_path, capsys, field, value):

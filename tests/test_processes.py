@@ -41,6 +41,28 @@ def replay(spec, history):
     return cursor.conditional()
 
 
+def hmm_path_sum_block_law(spec, length):
+    """Sum over every hidden path: P(X_0..X_{length-1} = block) for every
+    block code, from the spec's own stationary hidden law."""
+    A = np.array(spec.transition)
+    E = np.array(spec.emission)
+    paths = np.array(list(itertools.product(range(len(A)), repeat=length)))
+    law = []
+    for block in itertools.product(range(spec.alphabet.size), repeat=length):  # codes in ascending order
+        p = spec._hidden_law[paths[:, 0]] * E[paths[:, 0], block[0]]
+        for i in range(1, length):
+            p = p * A[paths[:, i - 1], paths[:, i]] * E[paths[:, i], block[i]]
+        law.append(p.sum())
+    return np.array(law)
+
+
+def random_stochastic(rng, n_rows, width):
+    """Rows with roughly a third of their entries zero, never a whole row."""
+    rows = rng.random((n_rows, width)) * (rng.random((n_rows, width)) > 0.35)
+    rows[np.arange(n_rows), rng.integers(0, width, n_rows)] += 0.1
+    return tuple(tuple(row / row.sum()) for row in rows)
+
+
 def hmm_path_sum_conditional(spec, history):
     """Exponential enumeration over hidden paths: P(X_{n+1}=x | X_0..X_n)."""
     A = np.array(spec.transition)
@@ -283,6 +305,48 @@ class TestBlockLaw:
         for code in range(8):
             ab, c = divmod(code, 2)
             assert law3[code] == pytest.approx(law2[ab] * ORDER2.rows[ab][c], abs=1e-12)
+
+    def test_hmm_law_matches_path_sum(self):
+        rng = np.random.default_rng(33)
+        checked = 0
+        while checked < 40:
+            size, n_states = int(rng.integers(2, 4)), int(rng.integers(1, 5))
+            try:
+                transition = random_stochastic(rng, n_states, n_states)
+                spec = HiddenMarkovProcess(Alphabet.of_size(size), transition, random_stochastic(rng, n_states, size))
+            except ValueError:  # reducible or periodic hidden chain
+                continue
+            checked += 1
+            for length in range(1, 6):
+                got = stationary_block_law(spec, length)
+                want = hmm_path_sum_block_law(spec, length)
+                assert np.abs(got - want).max() <= 1e-15
+                assert np.array_equal(got == 0, want == 0)
+
+    @pytest.mark.parametrize("order", [2, 3, 4])  # order 1 has no prefix shorter than the order
+    def test_markov_short_prefix_rows_are_block_law_ratios(self, order):
+        rng = np.random.default_rng(34 + order)
+        size = 3 if order <= 2 else 2
+        while True:
+            try:
+                spec = MarkovProcess(Alphabet.of_size(size), order, random_stochastic(rng, size**order, size))
+                break
+            except ValueError:  # the block chain is reducible or periodic
+                continue
+        for m in range(1, order):
+            law_m, law_next = stationary_block_law(spec, m), stationary_block_law(spec, m + 1)
+            for code, history in enumerate(itertools.product(range(size), repeat=m)):
+                ratio = law_next[code * size : (code + 1) * size] / law_m[code]
+                assert replay(spec, list(history)) == tuple(ratio.tolist())
+
+    @pytest.mark.parametrize("spec", [IIDProcess(BINARY, (0.25, 0.75)), FLIP, ORDER2, HMM2])
+    def test_returned_law_is_the_callers_to_mutate(self, spec):
+        for length in (1, 2, 3):
+            law = stationary_block_law(spec, length)
+            kept = law.copy()
+            law[:] = -1.0
+            assert np.array_equal(stationary_block_law(spec, length), kept)
+        assert replay(spec, [0]) == replay(dataclasses.replace(spec), [0])  # the cursor reads no mutated law
 
     def test_hmm_law_consistent_with_marginal(self):
         law1 = stationary_block_law(HMM2, 1)

@@ -61,21 +61,18 @@ def _reject_non_finite(value, path: str) -> None:
         raise ConfigError(f"{path or 'config'} must be a finite number, got {value!r}")
 
 
-def _number(value, path: str, *, integer: bool = False):
+def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{path} must be a finite number, got {value!r}")
-    if integer:
-        if not isinstance(value, int):
-            raise ConfigError(f"{path} must be an integer, got {value!r}")
-        return value
     return float(value)
 
 
 def _integer(value, path: str, low: int, high: int | None = None) -> int:
     """An integer in [low, high] (no upper end when high is None)."""
-    value = _number(value, path, integer=True)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
     if value < low or high is not None and value > high:
         span = f">= {low}" if high is None else f"in {low}..{high}"
         raise ConfigError(f"{path} must be {span}, got {value}")
@@ -126,7 +123,7 @@ def build_process(doc: dict) -> ProcessSpec:
             vals = [_number(v, f"process.probs[{i}]") for i, v in enumerate(probs)]
             return IIDProcess(alphabet, tuple(vals))
         if kind == "markov":
-            order = _number(section.get("order", 1), "process.order", integer=True)
+            order = _integer(section.get("order", 1), "process.order", 1)
             rows = _matrix(section.get("transition"), "process.transition")
             return MarkovProcess(alphabet, order, tuple(tuple(r) for r in rows))
         transition = _matrix(section.get("transition"), "process.transition")
@@ -155,9 +152,9 @@ def build_schedules(doc: dict, alphabet: Alphabet, path: str = "schedules") -> S
         kind = k_desc.get("kind", "log")
         if kind == "log":
             coeff = _number(k_desc.get("coeff", 0.1), f"{path}.K.coeff")
-            base = _number(k_desc.get("base", alphabet.size), f"{path}.K.base", integer=True)
-            if coeff <= 0 or base < 2:
-                raise ConfigError(f"{path}.K needs coeff > 0 and base >= 2")
+            if coeff <= 0:
+                raise ConfigError(f"{path}.K.coeff must be positive")
+            base = _integer(k_desc.get("base", alphabet.size), f"{path}.K.base", 2)
             try:
                 k_fn = LogK(base, coeff)
             except ValueError as exc:
@@ -221,15 +218,15 @@ def build_experiment(doc: dict, spec: ProcessSpec, schedules: Schedules) -> Expe
     section = doc.get("experiment")
     if not isinstance(section, dict):
         raise ConfigError("experiment section is required and must be an object")
-    horizon = _number(section.get("horizon"), "experiment.horizon", integer=True)
-    replicates = _number(section.get("replicates", 1), "experiment.replicates", integer=True)
+    horizon = _integer(section.get("horizon"), "experiment.horizon", 1)
+    replicates = _integer(section.get("replicates", 1), "experiment.replicates", 1)
     base_seed = _integer(section.get("base_seed", 0), "experiment.base_seed", 0, MAX_SEED)
-    workers = _number(section.get("workers", 1), "experiment.workers", integer=True)
+    workers = _integer(section.get("workers", 1), "experiment.workers", 1)
     grid = section.get("eval_grid")
     if grid is not None:
         if not isinstance(grid, list) or not grid:
             raise ConfigError("experiment.eval_grid must be a non-empty list of integers")
-        grid = tuple(_number(v, f"experiment.eval_grid[{i}]", integer=True) for i, v in enumerate(grid))
+        grid = tuple(_integer(v, f"experiment.eval_grid[{i}]", 1, horizon) for i, v in enumerate(grid))
     epsilons = section.get("epsilons")
     if epsilons is None:
         epsilons = (0.05, 0.1)

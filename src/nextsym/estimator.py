@@ -343,12 +343,8 @@ def context_length(seq: SymbolSequence, n: int, schedules: Schedules) -> int:
     _check_position(seq, n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    arr = seq.as_array()
-    j_n = schedules.J(n)
-    for k in range(min(schedules.K(n), n + 1), 0, -1):
-        if len(_match_starts(arr, n, k)) >= j_n:
-            return k
-    return 0
+    hit = probe(seq, n, schedules)
+    return 0 if hit is None else hit[0]
 
 
 def successor_histogram(seq: SymbolSequence, n: int, k: int) -> list[int]:
@@ -369,15 +365,19 @@ def successor_histogram(seq: SymbolSequence, n: int, k: int) -> list[int]:
 def probe(seq: SymbolSequence, n: int, schedules: Schedules):
     """(context_len, matches, successor histogram) at n, or None when
     abstaining (n = 0, or no block met the threshold); the scanning
-    counterpart of :meth:`~nextsym.streaming.StreamingEstimator.probe`."""
+    counterpart of :meth:`~nextsym.streaming.StreamingEstimator.probe`.
+    Scans each length from K(n) down once and keeps the chosen one's matches."""
     _check_position(seq, n)
     if n == 0:
         return None
-    k = context_length(seq, n, schedules)
-    if k == 0:
-        return None
-    hist = successor_histogram(seq, n, k)
-    return k, sum(hist), hist
+    arr = seq.as_array()
+    j_n = schedules.J(n)
+    for k in range(min(schedules.K(n), n + 1), 0, -1):
+        starts = _match_starts(arr, n, k)
+        if len(starts) >= j_n:
+            hist = np.bincount(arr[starts + k], minlength=seq.alphabet.size).tolist()
+            return k, len(starts), hist
+    return None
 
 
 def estimate(seq: SymbolSequence, n: int, payoff: PayoffFunction, schedules: Schedules) -> EstimateResult:

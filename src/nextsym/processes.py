@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -139,9 +139,8 @@ class IIDProcess:
         object.__setattr__(self, "probs", rows[0])
 
     def _draw(self, rng: np.random.Generator, n_sym: int) -> bytearray:
-        cum = np.cumsum(self.probs)
-        draws = np.searchsorted(cum, rng.random(n_sym), side="right")
-        return bytearray(np.minimum(draws, self.alphabet.size - 1).astype(np.uint8).tobytes())
+        draws = np.searchsorted(_cdf(self.probs)[:-1], rng.random(n_sym), side="right")
+        return bytearray(draws.astype(np.uint8).tobytes())
 
     def _block_law(self, length: int) -> np.ndarray:
         law = np.array(self.probs)
@@ -223,18 +222,11 @@ class MarkovProcess:
     def _draw(self, rng: np.random.Generator, n_sym: int) -> bytearray:
         size = self.alphabet.size
         k = self.order
-        state = min(int(np.searchsorted(np.cumsum(self._context_law), rng.random(), side="right")), size**k - 1)
+        state = int(np.searchsorted(_cdf(self._context_law)[:-1], rng.random(), side="right"))
         data = bytearray(state // size ** (k - 1 - i) % size for i in range(k))[:n_sym]
-        cums = [_cumulative(row) for row in self.rows]
-        mod = size ** (k - 1)
+        cdf = _cdf(self.rows).tolist()
         for lo in range(k, n_sym, _DRAW_CHUNK):
-            for u in rng.random(min(_DRAW_CHUNK, n_sym - lo)).tolist():
-                row = cums[state]
-                x = 0
-                while u >= row[x]:
-                    x += 1
-                data.append(x)
-                state = (state % mod) * size + x
+            state = _walk(cdf, state, size ** (k - 1), rng.random(min(_DRAW_CHUNK, n_sym - lo)).tolist(), data)
         return data
 
     def _block_law(self, length: int) -> np.ndarray:
@@ -302,27 +294,20 @@ class HiddenMarkovProcess:
         return stationary_distribution(np.array(self.transition))
 
     def _draw(self, rng: np.random.Generator, n_sym: int) -> bytearray:
-        A_cums = [_cumulative(row) for row in self.transition]
-        E_cums = [_cumulative(row) for row in self.emission]
-        pi_h = np.cumsum(self._hidden_law)
-        s = min(int(np.searchsorted(pi_h, rng.random(), side="right")), len(self.transition) - 1)
-        data = bytearray(n_sym)
-        m = 0
+        """The hidden chain walks the odd uniforms; the even ones pick a chunk's emissions column by column."""
+        s = int(np.searchsorted(_cdf(self._hidden_law)[:-1], rng.random(), side="right"))
+        trans = _cdf(self.transition).tolist()
+        emit = _cdf(self.emission).T
+        data = bytearray()
         for lo in range(0, n_sym, _DRAW_CHUNK):
-            us = rng.random(2 * min(_DRAW_CHUNK, n_sym - lo)).tolist()
-            for i in range(0, len(us), 2):
-                u = us[i]
-                row = E_cums[s]
-                x = 0
-                while u >= row[x]:
-                    x += 1
-                data[m] = x
-                m += 1
-                u = us[i + 1]
-                row = A_cums[s]
-                s = 0
-                while u >= row[s]:
-                    s += 1
+            us = rng.random(2 * min(_DRAW_CHUNK, n_sym - lo))
+            states = [s]
+            s = _walk(trans, s, 1, us[1::2].tolist(), states)
+            states = np.array(states[:-1])
+            x = np.zeros(len(states), dtype=np.uint8)
+            for column in emit[:-1]:
+                x += us[0::2] >= column[states]
+            data += x.tobytes()
         return data
 
     def _block_law(self, length: int) -> np.ndarray:
@@ -416,14 +401,26 @@ def stationary_block_law(spec: ProcessSpec, length: int) -> np.ndarray:
     return spec._block_law(length)
 
 
-def _cumulative(row: Sequence[float]) -> list[float]:
-    acc = 0.0
-    out = []
-    for v in row:
-        acc += v
-        out.append(acc)
-    out[-1] = 1.0  # saturate the last boundary against rounding
-    return out
+def _cdf(rows) -> np.ndarray:
+    """CDF of a law or of each matrix row, summed left to right; the last boundary is 1 against rounding."""
+    cdf = np.cumsum(rows, axis=-1)
+    cdf[..., -1] = 1.0
+    return cdf
+
+
+def _walk(cdf: list, state: int, mod: int, us: list, out) -> int:
+    """Per uniform, append the pick x from CDF row ``state`` and move to
+    ``(state % mod) * len(row) + x``; returns the last state."""
+    append = out.append
+    size = len(cdf[0])
+    for u in us:
+        row = cdf[state]
+        x = 0
+        while u >= row[x]:
+            x += 1
+        append(x)
+        state = (state % mod) * size + x
+    return state
 
 
 def generate(spec: ProcessSpec, seed: int, horizon: int) -> Trajectory:
@@ -432,8 +429,9 @@ def generate(spec: ProcessSpec, seed: int, horizon: int) -> Trajectory:
     Draw order (fixed for reproducibility): IID consumes one uniform per
     symbol; Markov consumes one uniform for the initial k-block then one per
     subsequent symbol; HMM consumes one uniform for the initial hidden state
-    then an (emission, transition) pair per time step.  Uniforms are mapped
-    to symbols by inverse CDF over cumulative row sums.  They are drawn in
+    then an (emission, transition) pair per time step.  A uniform u picks the
+    symbol (or state) whose index is the number of interior boundaries at
+    most u in its row's CDF, summed left to right.  Uniforms are drawn in
     chunks, which yields the same PCG64 stream as one draw of them all
     without holding it.
     """

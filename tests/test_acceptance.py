@@ -199,7 +199,7 @@ def test_criterion_10_invariant_suite_ten_thousand_cases_each():
         size = int(rng.integers(2, 5))
         length = int(rng.integers(2, 40))
         data = rng.integers(0, size, length)
-        return Alphabet.of_size(size), SymbolSequence(Alphabet.of_size(size), data.tobytes()), length - 1, size
+        return Alphabet.of_size(size), SymbolSequence(Alphabet.of_size(size), data.astype(np.uint8).tobytes()), length - 1, size
 
     # range: non-abstained estimates stay inside the payoff envelope
     for _ in range(cases):

@@ -336,21 +336,32 @@ class TestLemmas:
         ("--cases", 0),
         ("--max-n", 0),
         ("--seed", -5),
+        ("experiment.horizon", 0),
+        ("experiment.replicates", 0),
+        ("experiment.workers", 0),
+        ("experiment.eval_grid[0]", 0),
+        ("experiment.eval_grid[0]", 513),  # above the horizon
+        ("process.order", 0),
+        ("schedules.K.base", 1),
     ],
 )
 def test_out_of_range_input_exits_two_naming_its_field(tmp_path, capsys, field, value):
     if field.startswith("--"):
         argv = ["verify", field, str(value)]
     else:
-        doc = TestLemmas().lemmas_doc()
+        if field.startswith(("experiment.", "process.", "schedules.")):
+            command, doc = ["simulate", "--out", str(tmp_path / "out")], json.loads(json.dumps(MARKOV_DOC))
+            doc["experiment"]["eval_grid"] = [1, 512]
+        else:
+            command, doc = ["lemmas"], TestLemmas().lemmas_doc()
         if (field, value) == ("resampling.cases[0].block_len", 3):
             doc["process"] = {"kind": "iid", "alphabet": 41, "probs": [1 / 41] * 41}
         *parents, key = field.replace("[0]", ".0").split(".")
         target = doc
         for name in parents:
-            target = target[int(name)] if name.isdigit() else target[name]
-        target[key] = value
-        argv = ["lemmas", "--config", write_config(tmp_path, doc)]
+            target = target[int(name)] if name.isdigit() else target.setdefault(name, {})
+        target[int(key) if key.isdigit() else key] = value
+        argv = [*command, "--config", write_config(tmp_path, doc)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""  # rejected before any check ran

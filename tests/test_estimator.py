@@ -16,6 +16,7 @@ from nextsym import (
     recurrence_times,
     successor_histogram,
 )
+from nextsym import estimator
 from conftest import brute_count, brute_histogram, brute_kappa, brute_times
 
 
@@ -96,6 +97,25 @@ class TestKappaLambda:
             k = context_length(s, n, sch)
             if k > 0:
                 assert occurrence_count(s, n, k) >= sch.J(n)
+
+    def test_probe_scans_each_length_once(self, monkeypatch):
+        # one _match_starts call per length tried, from K(n) down to the chosen one (or 1)
+        scan, calls = estimator._match_starts, []
+        monkeypatch.setattr(estimator, "_match_starts", lambda arr, n, k: calls.append(k) or scan(arr, n, k))
+        rng = np.random.default_rng(12)
+        sch = Schedules(K=lambda n: max(1, n.bit_length() // 2), J=lambda n: max(1, int(n**0.5)))
+        alphabet = Alphabet("012")
+        hits = 0
+        for _ in range(200):
+            data = rng.integers(0, 3, int(rng.integers(2, 60))).tolist()
+            n = len(data) - 1
+            calls.clear()
+            hit = estimator.probe(seq_of(alphabet, data), n, sch)
+            kappa = brute_kappa(data, n, sch.K(n), sch.J(n))
+            assert (hit[0] if hit else 0) == kappa
+            assert calls == list(range(min(sch.K(n), n + 1), max(kappa, 1) - 1, -1))
+            hits += hit is not None
+        assert 0 < hits < 200
 
     def test_suffix_dominance(self):
         rng = np.random.default_rng(8)

@@ -63,6 +63,87 @@ def random_stochastic(rng, n_rows, width):
     return tuple(tuple(row / row.sum()) for row in rows)
 
 
+def cumulative(row):
+    acc, out = 0.0, []
+    for v in row:
+        acc += v
+        out.append(acc)
+    out[-1] = 1.0
+    return out
+
+
+def reference_draw(spec, seed, horizon):
+    """The draw written out symbol by symbol: per-symbol loops over
+    cumulative rows and clamped searchsorted picks, all uniforms at once."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n_sym, size = horizon + 1, spec.alphabet.size
+
+    def pick(law):
+        return min(int(np.searchsorted(np.cumsum(law), rng.random(), side="right")), len(law) - 1)
+
+    def inverse(row, u):
+        x = 0
+        while u >= row[x]:
+            x += 1
+        return x
+
+    if isinstance(spec, IIDProcess):
+        draws = np.searchsorted(np.cumsum(spec.probs), rng.random(n_sym), side="right")
+        return np.minimum(draws, size - 1).astype(np.uint8).tobytes()
+    if isinstance(spec, MarkovProcess):
+        k = spec.order
+        state = pick(spec._context_law)
+        data = bytearray(state // size ** (k - 1 - i) % size for i in range(k))[:n_sym]
+        rows = [cumulative(row) for row in spec.rows]
+        for u in rng.random(max(n_sym - k, 0)).tolist():
+            data.append(inverse(rows[state], u))
+            state = (state % size ** (k - 1)) * size + data[-1]
+        return bytes(data)
+    trans = [cumulative(row) for row in spec.transition]
+    emit = [cumulative(row) for row in spec.emission]
+    s = pick(spec._hidden_law)
+    us = rng.random(2 * n_sym).tolist()
+    data = bytearray()
+    for i in range(n_sym):
+        data.append(inverse(emit[s], us[2 * i]))
+        s = inverse(trans[s], us[2 * i + 1])
+    return bytes(data)
+
+
+def nudged(rng, rows):
+    """Rows with about half of them moved off a unit sum by 1e-13 either way."""
+    out = [list(row) for row in rows]
+    for row in out:
+        if rng.random() < 0.5:
+            row[int(np.argmax(row))] += float(rng.choice([-1e-13, 1e-13]))
+    return tuple(map(tuple, out))
+
+
+def random_specs(rng, count):
+    """IID, Markov (orders 1-3) and HMM (1-5 hidden states) specs with zero
+    entries and nudged rows, plus one HMM with 300 hidden states."""
+    specs = []
+    while len(specs) < count:
+        size = int(rng.integers(2, 5))
+        alphabet = Alphabet.of_size(size)
+        kind = len(specs) % 3
+        try:
+            if kind == 0:
+                specs.append(IIDProcess(alphabet, nudged(rng, random_stochastic(rng, 1, size))[0]))
+            elif kind == 1:
+                order = int(rng.integers(1, 4))
+                specs.append(MarkovProcess(alphabet, order, nudged(rng, random_stochastic(rng, size**order, size))))
+            else:
+                states = int(rng.integers(1, 6))
+                trans = nudged(rng, random_stochastic(rng, states, states))
+                specs.append(HiddenMarkovProcess(alphabet, trans, nudged(rng, random_stochastic(rng, states, size))))
+        except ValueError:  # reducible or periodic: draw again
+            pass
+    trans = nudged(rng, random_stochastic(rng, 300, 300))
+    specs.append(HiddenMarkovProcess(Alphabet.of_size(3), trans, nudged(rng, random_stochastic(rng, 300, 3))))
+    return specs
+
+
 def hmm_path_sum_conditional(spec, history):
     """Exponential enumeration over hidden paths: P(X_{n+1}=x | X_0..X_n)."""
     A = np.array(spec.transition)
@@ -163,6 +244,16 @@ class TestGenerate:
             1, 1, 1, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 1, 0]
         assert list(generate(HMM2, 42, 15).seq) == [
             1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1]
+
+    @pytest.mark.parametrize("chunk", [processes._DRAW_CHUNK, 7])
+    def test_bytes_equal_the_reference_draw(self, monkeypatch, chunk):
+        # chunk 7 makes the walk carry its state across many chunk edges
+        monkeypatch.setattr(processes, "_DRAW_CHUNK", chunk)
+        for spec in random_specs(np.random.default_rng(2026), 45):
+            for seed in (1, 2):
+                for horizon in (1, 2, 7, 2000):
+                    got = generate(spec, seed, horizon).seq.as_array().tobytes()
+                    assert got == reference_draw(spec, seed, horizon), (spec, seed, horizon)
 
     def test_iid_marginals_statistically_uniform(self):
         hits = 0

@@ -11,14 +11,11 @@ from .estimator import (
     EstimateResult,
     PayoffFunction,
     Schedules,
-    context_length,
     estimate,
     estimate_distribution,
-    occurrence_count,
     payoff_means,
     recurrence_times,
     schedule_J,
-    successor_histogram,
 )
 from .harness import (
     ExperimentConfig,
@@ -59,9 +56,6 @@ __all__ = [
     "DistributionEstimate",
     "schedule_J",
     "recurrence_times",
-    "context_length",
-    "occurrence_count",
-    "successor_histogram",
     "estimate",
     "estimate_distribution",
     "payoff_means",

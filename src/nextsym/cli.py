@@ -20,7 +20,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__
+from . import __version__, kernel
 from .config import (
     ConfigError,
     build_alphabet,
@@ -179,8 +179,6 @@ def _read_symbols(path: str, alphabet, lines_mode: bool) -> list:
 
 
 def cmd_estimate(args) -> int:
-    from . import kernel  # imported on first use, so commands that never replay load less at start-up
-
     alphabet = _alphabet_from_flag(args.alphabet)
     symbols = _read_symbols(args.sequence_file, alphabet, args.lines)
     first = len(symbols) - 1 if args.final_only else 0

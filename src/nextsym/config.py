@@ -124,6 +124,10 @@ def build_process(doc: dict) -> ProcessSpec:
             return IIDProcess(alphabet, tuple(vals))
         if kind == "markov":
             order = _integer(section.get("order", 1), "process.order", 1)
+            if not block_space_fits(alphabet.size, order):
+                raise ConfigError(
+                    f"process.order must be small enough that {alphabet.size}^order <= {MAX_BLOCKS}, got {order}"
+                )
             rows = _matrix(section.get("transition"), "process.transition")
             return MarkovProcess(alphabet, order, tuple(tuple(r) for r in rows))
         transition = _matrix(section.get("transition"), "process.transition")

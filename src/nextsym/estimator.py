@@ -36,9 +36,6 @@ __all__ = [
     "ConstantSchedule",
     "LinearJ",
     "recurrence_times",
-    "context_length",
-    "occurrence_count",
-    "successor_histogram",
     "estimate",
     "estimate_distribution",
     "probe",
@@ -233,9 +230,12 @@ class LinearJ:
         return max(1, math.ceil(self.coeff * n))
 
     def values(self, lo: int, hi: int) -> np.ndarray:
+        """J(n) for n in [lo, hi), saturated at 2^62: no match count reaches
+        that, so the saturated threshold decides as J(n) does, and the int64
+        cast cannot wrap."""
         # float(n) * coeff rounds exactly as the scalar call does for n < 2^53
         scaled = np.ceil(self.coeff * np.arange(lo, hi, dtype=np.float64))
-        return np.maximum(scaled, 1.0).astype(np.int64)
+        return np.clip(scaled, 1.0, 2.0**62).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -327,54 +327,19 @@ def recurrence_times(seq: SymbolSequence, n: int, k: int, count: int | None = No
     return times.tolist()
 
 
-def occurrence_count(seq: SymbolSequence, n: int, k: int) -> int:
-    """Number of prior in-segment occurrences of the length-k suffix of X_0..X_n."""
-    _check_position(seq, n)
-    if not 1 <= k <= n + 1:
-        raise ValueError(f"k={k} outside [1, n+1]={n + 1}")
-    return len(_match_starts(seq.as_array(), n, k))
-
-
-def context_length(seq: SymbolSequence, n: int, schedules: Schedules) -> int:
-    """Longest k <= K(n) whose suffix block recurred at least J(n) times, else 0.
-
-    A zero return signals abstention, never an error.
-    """
-    _check_position(seq, n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    hit = probe(seq, n, schedules)
-    return 0 if hit is None else hit[0]
-
-
-def successor_histogram(seq: SymbolSequence, n: int, k: int) -> list[int]:
-    """Per-symbol counts of the successors of prior occurrences of the suffix.
-
-    Every in-segment prior occurrence ends strictly before n, so its
-    successor is inside the segment; the counts sum to occurrence_count.
-    """
-    _check_position(seq, n)
-    if not 1 <= k <= n + 1:
-        raise ValueError(f"k={k} outside [1, n+1]={n + 1}")
-    arr = seq.as_array()
-    starts = _match_starts(arr, n, k)
-    succ = arr[starts + k]
-    return np.bincount(succ, minlength=seq.alphabet.size).tolist()
-
-
 def probe(seq: SymbolSequence, n: int, schedules: Schedules):
     """(context_len, matches, successor histogram) at n, or None when
-    abstaining (n = 0, or no block met the threshold); the scanning
-    counterpart of :meth:`~nextsym.streaming.StreamingEstimator.probe`.
+    abstaining (n = 0, or no block met the threshold max(J(n), 1)); the
+    scanning counterpart of :meth:`~nextsym.streaming.StreamingEstimator.probe`.
     Scans each length from K(n) down once and keeps the chosen one's matches."""
     _check_position(seq, n)
     if n == 0:
         return None
     arr = seq.as_array()
-    j_n = schedules.J(n)
+    need = max(schedules.J(n), 1)  # a block must have occurred to be matched
     for k in range(min(schedules.K(n), n + 1), 0, -1):
         starts = _match_starts(arr, n, k)
-        if len(starts) >= j_n:
+        if len(starts) >= need:
             hist = np.bincount(arr[starts + k], minlength=seq.alphabet.size).tolist()
             return k, len(starts), hist
     return None

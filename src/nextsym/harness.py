@@ -33,6 +33,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import kernel
 from .estimator import PayoffFunction, Schedules, payoff_means, recurrence_times
 from .processes import Oracle, ProcessSpec, generate, stationary_block_law
 from .seeding import MAX_SEED, derive_seed
@@ -191,8 +192,6 @@ def _run_replicate(cfg: ExperimentConfig, replicate: int) -> list:
     """Rows for one replicate: the trajectory is generated whole, replayed
     in chunks by the kernel and scored column-wise against the exact
     conditionals; the Cesaro sum adds the errors in time order."""
-    from . import kernel  # imported on first use, so commands that never replay load less at start-up
-
     seed = derive_seed(cfg.base_seed, replicate)
     seq = generate(cfg.spec, seed, cfg.horizon).seq.as_array()
     size = cfg.spec.alphabet.size
@@ -444,8 +443,6 @@ def check_kappa_divergence(
     all_positive = bool(law.min() > 0)
     per_grid: list[list[int]] = [[] for _ in grid]
     at_cap = 0
-    from . import kernel
-
     for r in range(replicates):
         seq = generate(spec, derive_seed(base_seed, r), horizon).seq.as_array()
         parts = kernel.replay(seq, spec.alphabet.size, schedules, histogram=False)

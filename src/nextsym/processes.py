@@ -139,8 +139,12 @@ class IIDProcess:
         object.__setattr__(self, "probs", rows[0])
 
     def _draw(self, rng: np.random.Generator, n_sym: int) -> bytearray:
-        draws = np.searchsorted(_cdf(self.probs)[:-1], rng.random(n_sym), side="right")
-        return bytearray(draws.astype(np.uint8).tobytes())
+        cdf = _cdf(self.probs)[:-1]
+        data = bytearray()
+        for lo in range(0, n_sym, _DRAW_CHUNK):
+            draws = np.searchsorted(cdf, rng.random(min(_DRAW_CHUNK, n_sym - lo)), side="right")
+            data += draws.astype(np.uint8).tobytes()
+        return data
 
     def _block_law(self, length: int) -> np.ndarray:
         law = np.array(self.probs)

@@ -54,12 +54,11 @@ class StreamingEstimator:
     def push(self, symbol_index: int) -> int:
         """Append one symbol and credit it as successor of every block ending
         just before it; returns the new position."""
-        size = self._size
-        if not 0 <= symbol_index < size:
-            raise ValueError(f"symbol index {symbol_index} outside alphabet of size {size}")
         m = len(self.seq)
         if m > self.horizon:
             raise CapacityError(f"horizon {self.horizon} exhausted")
+        self.seq.append(symbol_index)  # checks the range before any count changes
+        size = self._size
         codes = self._codes
         k_max = self.k_max
         record = m if m < k_max else k_max
@@ -76,7 +75,6 @@ class StreamingEstimator:
             codes[i] = codes[i - 1] * size + symbol_index
         codes[0] = symbol_index
         self.op_count += record + k_max
-        self.seq._data.append(symbol_index)
         return m
 
     def probe(self):

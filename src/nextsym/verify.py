@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .estimator import Schedules, probe, recurrence_times
 from .seeding import derive_seed
 from .sequences import Alphabet, SymbolSequence
@@ -55,8 +56,6 @@ def verify_equivalence(
     build and demonstrate that it reports a counterexample; ``schedules_for``
     maps an alphabet size to custom schedules (defaults otherwise).
     """
-    from . import kernel  # imported on first use, so commands that never replay load less at start-up
-
     if cases < 1 or max_n < 1:
         raise ValueError("need cases >= 1 and max_n >= 1")
     prefixes = 0

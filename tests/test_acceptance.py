@@ -23,15 +23,14 @@ from nextsym import (
     Schedules,
     check_lemma_resampling,
     check_return_time_bound,
-    context_length,
     estimate,
-    occurrence_count,
     recurrence_times,
     run_experiment,
     schedule_J,
     verify_equivalence,
 )
 from nextsym.cli import main
+from nextsym.estimator import probe
 from nextsym.sequences import SymbolSequence
 
 BINARY = Alphabet("01")
@@ -214,9 +213,9 @@ def test_criterion_10_invariant_suite_ten_thousand_cases_each():
     # threshold: a positive context length implies at least J(n) matches
     for _ in range(cases):
         _, seq, n, _ = random_seq()
-        k = context_length(seq, n, sch)
-        if k > 0:
-            assert occurrence_count(seq, n, k) >= sch.J(n)
+        hit = probe(seq, n, sch)
+        if hit is not None:
+            assert len(recurrence_times(seq, n, hit[0])) >= sch.J(n)
 
     # monotonicity: recurrence lists strictly increase and every entry matches
     for _ in range(cases):
@@ -233,6 +232,6 @@ def test_criterion_10_invariant_suite_ten_thousand_cases_each():
         _, seq, n, _ = random_seq()
         k_long = int(rng.integers(2, n + 2))
         k_short = int(rng.integers(1, k_long))
-        assert occurrence_count(seq, n, k_short) >= occurrence_count(seq, n, k_long)
+        assert len(recurrence_times(seq, n, k_short)) >= len(recurrence_times(seq, n, k_long))
 
     report(10, f"range/threshold/monotonicity/suffix-dominance held on {cases} randomized cases each")

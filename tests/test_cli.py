@@ -68,6 +68,15 @@ class TestSimulate:
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
         assert (out1 / "tails.csv").read_bytes() == (out2 / "tails.csv").read_bytes()
 
+    def test_huge_linear_J_abstains_everywhere(self, tmp_path):
+        # J(n) = ceil(1e19 * n) is past the int64 range; no block can reach it
+        doc = json.loads(json.dumps(MARKOV_DOC))
+        doc["schedules"] = {"J": {"kind": "linear", "coeff": 1e19}}
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert rows and all(row.split(",")[4] == "1" for row in rows)
+
     def test_nonstochastic_row_names_the_row(self, tmp_path, capsys):
         doc = json.loads(json.dumps(MARKOV_DOC))
         doc["process"]["transition"][1] = [0.5, 0.6]
@@ -342,6 +351,7 @@ class TestLemmas:
         ("experiment.eval_grid[0]", 0),
         ("experiment.eval_grid[0]", 513),  # above the horizon
         ("process.order", 0),
+        ("process.order", 17),  # 2^17 contexts
         ("schedules.K.base", 1),
     ],
 )

@@ -8,15 +8,14 @@ from nextsym import (
     PayoffFunction,
     Schedules,
     SymbolSequence,
-    context_length,
     estimate,
     estimate_distribution,
-    occurrence_count,
     payoff_means,
     recurrence_times,
-    successor_histogram,
+    verify_equivalence,
 )
 from nextsym import estimator
+from nextsym.estimator import ConstantSchedule, probe
 from conftest import brute_count, brute_histogram, brute_kappa, brute_times
 
 
@@ -65,25 +64,23 @@ class TestRecurrenceTimes:
 class TestKappaLambda:
     def test_kappa_spec_examples(self, binary, default_schedules):
         # default schedules give exactly K=1, J=2 at n=4 and K=1, J=1 at n=1
-        assert context_length(seq_of(binary, [0, 1, 0, 1, 0]), 4, default_schedules) == 1
-        assert context_length(seq_of(binary, [0, 1]), 1, default_schedules) == 0
-        assert context_length(seq_of(binary, [0] * 11), 10, default_schedules) == 1
+        assert probe(seq_of(binary, [0, 1, 0, 1, 0]), 4, default_schedules)[0] == 1
+        assert probe(seq_of(binary, [0, 1]), 1, default_schedules) is None
+        assert probe(seq_of(binary, [0] * 11), 10, default_schedules)[0] == 1
 
     def test_lambda_spec_examples(self, binary):
-        assert occurrence_count(seq_of(binary, [0, 1, 0, 1, 0]), 4, 1) == 2
-        assert occurrence_count(seq_of(binary, [0] * 11), 10, 1) == 10
-        assert occurrence_count(seq_of(binary, [0, 1]), 1, 1) == 0
+        assert len(recurrence_times(seq_of(binary, [0, 1, 0, 1, 0]), 4, 1)) == 2
+        assert len(recurrence_times(seq_of(binary, [0] * 11), 10, 1)) == 10
+        assert len(recurrence_times(seq_of(binary, [0, 1]), 1, 1)) == 0
 
-    def test_lambda_domain_errors(self, binary):
-        s = seq_of(binary, [0, 1, 0])
-        with pytest.raises(ValueError):
-            occurrence_count(s, 2, 0)
-        with pytest.raises(ValueError):
-            occurrence_count(s, 2, 4)
-
-    def test_kappa_needs_n_at_least_one(self, binary, default_schedules):
-        with pytest.raises(ValueError):
-            context_length(seq_of(binary, [0]), 0, default_schedules)
+    def test_zero_threshold_still_needs_one_occurrence(self, binary):
+        # J(n) = 0 is read as max(J(n), 1), as the streaming index and the kernel read it
+        sch = Schedules(K=ConstantSchedule(3), J=lambda n: 0)
+        s = seq_of(binary, [0, 1, 1, 0, 1])
+        assert probe(s, 4, sch) == (2, 1, [0, 1])
+        assert estimate_distribution(s, 4, sch).probs == (0.0, 1.0)
+        assert estimate_distribution(seq_of(binary, [0, 1]), 1, sch).abstained
+        assert verify_equivalence(cases=20, max_n=60, seed=4, schedules_for=lambda size: sch).ok
 
     def test_threshold_property(self):
         # kappa > 0 implies at least J(n) matches of the selected block
@@ -94,9 +91,9 @@ class TestKappaLambda:
             data = rng.integers(0, 2, int(rng.integers(2, 50))).tolist()
             s = seq_of(alphabet, data)
             n = len(data) - 1
-            k = context_length(s, n, sch)
-            if k > 0:
-                assert occurrence_count(s, n, k) >= sch.J(n)
+            hit = probe(s, n, sch)
+            if hit is not None:
+                assert len(recurrence_times(s, n, hit[0])) == hit[1] >= sch.J(n)
 
     def test_probe_scans_each_length_once(self, monkeypatch):
         # one _match_starts call per length tried, from K(n) down to the chosen one (or 1)
@@ -110,7 +107,7 @@ class TestKappaLambda:
             data = rng.integers(0, 3, int(rng.integers(2, 60))).tolist()
             n = len(data) - 1
             calls.clear()
-            hit = estimator.probe(seq_of(alphabet, data), n, sch)
+            hit = probe(seq_of(alphabet, data), n, sch)
             kappa = brute_kappa(data, n, sch.K(n), sch.J(n))
             assert (hit[0] if hit else 0) == kappa
             assert calls == list(range(min(sch.K(n), n + 1), max(kappa, 1) - 1, -1))
@@ -124,7 +121,7 @@ class TestKappaLambda:
             data = rng.integers(0, 3, int(rng.integers(2, 40))).tolist()
             s = seq_of(alphabet, data)
             n = len(data) - 1
-            counts = [occurrence_count(s, n, k) for k in range(1, n + 2)]
+            counts = [len(recurrence_times(s, n, k)) for k in range(1, n + 2)]
             assert counts == sorted(counts, reverse=True)
 
 
@@ -190,11 +187,12 @@ class TestEstimate:
             data = rng.integers(0, size, int(rng.integers(2, 80))).tolist()
             s = seq_of(alphabet, data)
             n = len(data) - 1
-            k = context_length(s, n, sch)
+            hit = probe(s, n, sch)
+            k = hit[0] if hit else 0
             assert k == brute_kappa(data, n, sch.K(n), sch.J(n))
             if k > 0:
                 hist = brute_histogram(data, n, k, size)
-                assert successor_histogram(s, n, k) == hist
+                assert hit[1:] == (sum(hist), hist)
                 g = PayoffFunction(alphabet, tuple((x + 1.0) / (x + 2.0) for x in range(size)))
                 r = estimate(s, n, g, sch)
                 assert r.value == payoff_means(np.array([hist]), g.values, np.array([sum(hist)]))[0]

@@ -16,12 +16,11 @@ from nextsym import (
     PayoffFunction,
     Schedules,
     SymbolSequence,
-    context_length,
     generate,
     run_experiment,
-    successor_histogram,
 )
 from nextsym import kernel, processes
+from nextsym.estimator import probe
 from nextsym.config import build_schedules
 
 
@@ -64,11 +63,10 @@ def test_kernel_matches_scanning_evaluator(size, length, chunk, which, seed, ske
     seq = SymbolSequence(Alphabet.of_size(size), data.tobytes())
     kappa, matches, hist = _replayed(data, size, schedules, chunk)
     for n in range(length):
-        k = context_length(seq, n, schedules) if n > 0 else 0
+        k, lam, want = probe(seq, n, schedules) or (0, 0, [0] * size)
         assert kappa[n] == k, n
-        want = successor_histogram(seq, n, k) if k else [0] * size
         assert hist[n].tolist() == want, n
-        assert matches[n] == sum(want), n
+        assert matches[n] == lam == sum(want), n
 
 
 def test_log_schedule_steps_inside_a_chunk():

@@ -12,6 +12,7 @@ from nextsym import (
     SymbolSequence,
     estimate,
     estimate_distribution,
+    recurrence_times,
 )
 
 
@@ -143,8 +144,6 @@ class TestResourceContracts:
     def test_count_identity_for_current_suffix(self):
         # with J = 1 the probe reports the current suffix of length min(k, n+1)
         # whenever it recurred, with the scanning match count
-        from nextsym import occurrence_count
-
         rng = np.random.default_rng(16)
         alphabet = Alphabet.of_size(3)
         data = rng.integers(0, 3, 400).tolist()
@@ -156,7 +155,7 @@ class TestResourceContracts:
                 if n == 0:
                     continue
                 length = min(k, n + 1)
-                count = occurrence_count(seq, n, length)
+                count = len(recurrence_times(seq, n, length))
                 hit = est.probe()
                 if count > 0:
                     assert hit[:2] == (length, count)

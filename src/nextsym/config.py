@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .estimator import ConstantSchedule, LinearJ, LogK, PayoffFunction, Schedules, schedule_J
+from .estimator import SCHEDULE_CAP, ConstantSchedule, LinearJ, LogK, PayoffFunction, Schedules, schedule_J
 from .harness import ExperimentConfig
 from .processes import MAX_BLOCKS, HiddenMarkovProcess, IIDProcess, MarkovProcess, ProcessSpec, block_space_fits
 from .seeding import MAX_SEED
@@ -164,7 +164,7 @@ def build_schedules(doc: dict, alphabet: Alphabet, path: str = "schedules") -> S
             except ValueError as exc:
                 raise ConfigError(f"{path}.K.coeff: {exc}") from exc
         elif kind == "constant":
-            k_fn = ConstantSchedule(_integer(k_desc.get("value"), f"{path}.K.value", 1))
+            k_fn = ConstantSchedule(_integer(k_desc.get("value"), f"{path}.K.value", 1, SCHEDULE_CAP))
         else:
             raise ConfigError(f"{path}.K.kind must be log or constant, got {kind!r}")
 
@@ -183,7 +183,7 @@ def build_schedules(doc: dict, alphabet: Alphabet, path: str = "schedules") -> S
                 raise ConfigError(f"{path}.J.coeff must be positive")
             j_fn = LinearJ(coeff)
         elif kind == "constant":
-            j_fn = ConstantSchedule(_integer(j_desc.get("value"), f"{path}.J.value", 1))
+            j_fn = ConstantSchedule(_integer(j_desc.get("value"), f"{path}.J.value", 1, SCHEDULE_CAP))
         else:
             raise ConfigError(f"{path}.J.kind must be sqrt/linear/constant, got {kind!r}")
     return Schedules(K=k_fn, J=j_fn)

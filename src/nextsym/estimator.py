@@ -105,6 +105,7 @@ def _decimal_ratio(x: float) -> tuple:
 
 
 _MAX_LOG_NUMERATOR = 10_000
+SCHEDULE_CAP = 2**62  # largest schedule value: int64 holds it, and no count reaches it
 
 
 class LogK:
@@ -230,12 +231,12 @@ class LinearJ:
         return max(1, math.ceil(self.coeff * n))
 
     def values(self, lo: int, hi: int) -> np.ndarray:
-        """J(n) for n in [lo, hi), saturated at 2^62: no match count reaches
-        that, so the saturated threshold decides as J(n) does, and the int64
-        cast cannot wrap."""
+        """J(n) for n in [lo, hi), saturated at ``SCHEDULE_CAP``: no match
+        count reaches that, so the saturated threshold decides as J(n) does,
+        and the int64 cast cannot wrap."""
         # float(n) * coeff rounds exactly as the scalar call does for n < 2^53
         scaled = np.ceil(self.coeff * np.arange(lo, hi, dtype=np.float64))
-        return np.clip(scaled, 1.0, 2.0**62).astype(np.int64)
+        return np.clip(scaled, 1.0, SCHEDULE_CAP).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,11 @@ documented in :func:`generate`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -53,6 +54,8 @@ _STATIONARY_TOL = 1e-12
 MAX_BLOCKS = 65536  # most Markov contexts, and most blocks an exact block law enumerates
 _MAX_POWER_ITERS = 200_000
 _DRAW_CHUNK = 1 << 14  # uniforms are drawn this many at a time; the stream is the same
+_SCAN_BLOCK = 32  # uniforms per block of _walk's blocked scan
+_SCAN_MAX_WORK = 56  # measured: above this S * (row length - 1), _walk's loop beats its scan
 
 
 def block_space_fits(size: int, length: int) -> bool:
@@ -228,9 +231,9 @@ class MarkovProcess:
         k = self.order
         state = int(np.searchsorted(_cdf(self._context_law)[:-1], rng.random(), side="right"))
         data = bytearray(state // size ** (k - 1 - i) % size for i in range(k))[:n_sym]
-        cdf = _cdf(self.rows).tolist()
-        for lo in range(k, n_sym, _DRAW_CHUNK):
-            state = _walk(cdf, state, size ** (k - 1), rng.random(min(_DRAW_CHUNK, n_sym - lo)).tolist(), data)
+        chunks = (rng.random(min(_DRAW_CHUNK, n_sym - lo)) for lo in range(k, n_sym, _DRAW_CHUNK))
+        for entered in _walk(_cdf(self.rows), state, size ** (k - 1), chunks):
+            data += (entered % size).astype(np.uint8).tobytes()
         return data
 
     def _block_law(self, length: int) -> np.ndarray:
@@ -300,14 +303,13 @@ class HiddenMarkovProcess:
     def _draw(self, rng: np.random.Generator, n_sym: int) -> bytearray:
         """The hidden chain walks the odd uniforms; the even ones pick a chunk's emissions column by column."""
         s = int(np.searchsorted(_cdf(self._hidden_law)[:-1], rng.random(), side="right"))
-        trans = _cdf(self.transition).tolist()
         emit = _cdf(self.emission).T
         data = bytearray()
-        for lo in range(0, n_sym, _DRAW_CHUNK):
-            us = rng.random(2 * min(_DRAW_CHUNK, n_sym - lo))
-            states = [s]
-            s = _walk(trans, s, 1, us[1::2].tolist(), states)
-            states = np.array(states[:-1])
+        pairs = (rng.random(2 * min(_DRAW_CHUNK, n_sym - lo)) for lo in range(0, n_sym, _DRAW_CHUNK))
+        pairs, walked = itertools.tee(pairs)
+        for us, entered in zip(pairs, _walk(_cdf(self.transition), s, 1, (us[1::2] for us in walked))):
+            states = np.concatenate(([s], entered[:-1]))
+            s = entered[-1]
             x = np.zeros(len(states), dtype=np.uint8)
             for column in emit[:-1]:
                 x += us[0::2] >= column[states]
@@ -412,19 +414,67 @@ def _cdf(rows) -> np.ndarray:
     return cdf
 
 
-def _walk(cdf: list, state: int, mod: int, us: list, out) -> int:
-    """Per uniform, append the pick x from CDF row ``state`` and move to
-    ``(state % mod) * len(row) + x``; returns the last state."""
-    append = out.append
-    size = len(cdf[0])
-    for u in us:
-        row = cdf[state]
-        x = 0
-        while u >= row[x]:
-            x += 1
-        append(x)
-        state = (state % mod) * size + x
-    return state
+def _walk(cdf: np.ndarray, state: int, mod: int, chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Walk a chain on the contexts that index the rows of ``cdf``; per chunk
+    of uniforms, yield the context entered on each, as int32.
+
+    A uniform u picks x, the number of interior boundaries at most u in row
+    ``state``, and moves to ``(state % mod) * len(row) + x``: Markov contexts
+    for ``mod = |A|^(k-1)`` (x is the context mod |A|), hidden states for
+    ``mod = 1``.  Each uniform thus maps every context to its successor, and
+    composing maps is associative.  So a chain needing at most
+    ``_SCAN_MAX_WORK`` comparisons per uniform, S * (len(row) - 1), is
+    walked as a blocked prefix scan: the maps of each block of
+    ``_SCAN_BLOCK`` uniforms (the last one padded) are composed for all
+    blocks at once, the block starts are walked one block at a time, and
+    each position is filled in from its block's start.  Larger chains take
+    a per-symbol loop, which stops at the first boundary above u; interior
+    boundaries never decrease, so both pick the same x.
+    """
+    n_ctx, size = cdf.shape
+    step = np.arange(n_ctx, dtype=np.int32) % mod * size  # the context entered on pick 0
+    if n_ctx * (size - 1) > _SCAN_MAX_WORK:
+        rows, step = cdf.tolist(), step.tolist()
+        for us in chunks:
+            entered = []
+            append = entered.append
+            for u in us.tolist():
+                row = rows[state]
+                x = 0
+                while u >= row[x]:
+                    x += 1
+                state = step[state] + x
+                append(state)
+            yield np.array(entered, dtype=np.int32)
+        return
+    bounds = cdf[:, :-1].T
+    for us in chunks:
+        n = len(us)
+        blocks = -(-n // _SCAN_BLOCK)
+        u = np.zeros(blocks * _SCAN_BLOCK)
+        u[:n] = us
+        u = u.reshape(blocks, _SCAN_BLOCK).T[:, :, None]  # position b * L + j at [j, b]
+        # table[j, b * S + c] = b * S + the context that block b's j-th uniform moves c to
+        offset = np.arange(0, blocks * n_ctx, n_ctx, dtype=np.int32)
+        table = np.empty((_SCAN_BLOCK, blocks, n_ctx), dtype=np.int32)
+        table[:] = offset[:, None] + step
+        for column in bounds:
+            table += u >= column
+        table = table.reshape(_SCAN_BLOCK, -1)
+        ends = np.arange((blocks - 1) * n_ctx, dtype=np.int32)  # no block starts after the last
+        for row in table:
+            ends = row.take(ends)
+        ends = ends.tolist()
+        starts = [state]
+        for _ in range(blocks - 1):  # block b ends at b * S + c, so block b + 1 starts at that + S
+            starts.append(ends[starts[-1]] + n_ctx)
+        entered = np.empty((_SCAN_BLOCK, blocks), dtype=np.int32)
+        at = np.array(starts, dtype=np.int32)
+        for row, out in zip(table, entered):
+            at = row.take(at, out=out)
+        entered = (entered - offset).T.reshape(-1)[:n]
+        state = int(entered[-1])
+        yield entered
 
 
 def generate(spec: ProcessSpec, seed: int, horizon: int) -> Trajectory:
@@ -437,7 +487,10 @@ def generate(spec: ProcessSpec, seed: int, horizon: int) -> Trajectory:
     symbol (or state) whose index is the number of interior boundaries at
     most u in its row's CDF, summed left to right.  Uniforms are drawn in
     chunks, which yields the same PCG64 stream as one draw of them all
-    without holding it.
+    without holding it.  Within a chunk, chains with few contexts are walked
+    by a blocked prefix scan and larger ones symbol by symbol (see
+    :func:`_walk`); both make the same picks, so the bytes depend on neither
+    the chunk size nor the route.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")

@@ -353,6 +353,8 @@ class TestLemmas:
         ("process.order", 0),
         ("process.order", 17),  # 2^17 contexts
         ("schedules.K.base", 1),
+        ("schedules.K.value", 2**70),  # past int64
+        ("schedules.J.value", 2**70),
     ],
 )
 def test_out_of_range_input_exits_two_naming_its_field(tmp_path, capsys, field, value):
@@ -366,6 +368,8 @@ def test_out_of_range_input_exits_two_naming_its_field(tmp_path, capsys, field, 
             command, doc = ["lemmas"], TestLemmas().lemmas_doc()
         if (field, value) == ("resampling.cases[0].block_len", 3):
             doc["process"] = {"kind": "iid", "alphabet": 41, "probs": [1 / 41] * 41}
+        if field in ("schedules.K.value", "schedules.J.value"):
+            doc["schedules"] = {field.split(".")[1]: {"kind": "constant"}}
         *parents, key = field.replace("[0]", ".0").split(".")
         target = doc
         for name in parents:

@@ -1,9 +1,12 @@
 import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nextsym import (
     Alphabet,
@@ -246,14 +249,46 @@ class TestGenerate:
             1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1]
 
     @pytest.mark.parametrize("chunk", [processes._DRAW_CHUNK, 7])
-    def test_bytes_equal_the_reference_draw(self, monkeypatch, chunk):
-        # chunk 7 makes the walk carry its state across many chunk edges
+    @pytest.mark.parametrize("max_work", [pytest.param(math.inf, id="scan"), pytest.param(-1, id="loop")])
+    def test_bytes_equal_the_reference_draw(self, monkeypatch, max_work, chunk):
+        # chunk 7 makes the walk carry its state across many chunk edges, and
+        # makes the scan pad each chunk's single block of 32 uniforms
         monkeypatch.setattr(processes, "_DRAW_CHUNK", chunk)
+        monkeypatch.setattr(processes, "_SCAN_MAX_WORK", max_work)
         for spec in random_specs(np.random.default_rng(2026), 45):
             for seed in (1, 2):
                 for horizon in (1, 2, 7, 2000):
                     got = generate(spec, seed, horizon).seq.as_array().tobytes()
                     assert got == reference_draw(spec, seed, horizon), (spec, seed, horizon)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        markov=st.booleans(),
+        size=st.integers(2, 4),
+        k=st.integers(1, 4),
+        states=st.integers(1, 8),
+    )
+    def test_walk_routes_draw_the_same_bytes(self, seed, markov, size, k, states):
+        rng = np.random.default_rng(seed)
+        while True:  # reducible or periodic: draw again
+            try:
+                if markov:
+                    spec = MarkovProcess(Alphabet.of_size(size), k, nudged(rng, random_stochastic(rng, size**k, size)))
+                    work = size**k * (size - 1)
+                else:
+                    trans = nudged(rng, random_stochastic(rng, states, states))
+                    spec = HiddenMarkovProcess(Alphabet.of_size(size), trans, nudged(rng, random_stochastic(rng, states, size)))
+                    work = states * (states - 1)
+                break
+            except ValueError:
+                pass
+        for horizon in (1, k, 33, 2000):
+            drawn = []
+            for max_work in (work - 1, work):  # per-symbol loop, then blocked scan
+                with mock.patch.object(processes, "_SCAN_MAX_WORK", max_work):
+                    drawn.append(generate(spec, seed, horizon).seq.as_array().tobytes())
+            assert drawn[0] == drawn[1], (spec, seed, horizon)
 
     def test_iid_marginals_statistically_uniform(self):
         hits = 0

@@ -8,7 +8,13 @@ distribution of the next symbol given the observed prefix:
   k symbols have been seen, and for shorter prefixes it is computed exactly
   from the stationary block law (no burn-in bias anywhere).
 - ``HiddenMarkovProcess``: the conditional comes from the forward filter,
-  renormalized each step so underflow cannot occur at any horizon.
+  renormalized each step so underflow cannot occur at any horizon.  The
+  cursor runs it one symbol at a time and is the exact reference.
+  ``Oracle.conditionals`` runs it as a blocked scan over blocks of 64
+  positions for hidden chains of up to ``_FILTER_MAX_STATES`` (32) states,
+  and through a cursor above that.  The scan reorders the arithmetic
+  across blocks, so its rows are within 1e-13 (max abs) of the cursor's,
+  not equal to them.
 
 Each family owns its draw, block law, cursor and chunked conditionals, and
 computes the stationary laws they need once per spec; :func:`generate`,
@@ -55,7 +61,11 @@ MAX_BLOCKS = 65536  # most Markov contexts, and most blocks an exact block law e
 _MAX_POWER_ITERS = 200_000
 _DRAW_CHUNK = 1 << 14  # uniforms are drawn this many at a time; the stream is the same
 _SCAN_BLOCK = 32  # uniforms per block of _walk's blocked scan
-_SCAN_MAX_WORK = 56  # measured: above this S * (row length - 1), _walk's loop beats its scan
+_SCAN_MAX_WORK = 132  # measured: above this S * (row length + 1), _walk's loop beats its scan
+_FILTER_BLOCK = 64  # positions per block of the HMM oracle's blocked filter
+_FILTER_SEGMENT = 1 << 14  # positions the blocked filter holds at once; a multiple of _FILTER_BLOCK
+_FILTER_MAX_STATES = 32  # measured: above this many hidden states the cursor beats the blocked filter
+_FILTER_TINY = 1e-200  # below this carried mass a block is walked position by position
 
 
 def block_space_fits(size: int, length: int) -> bool:
@@ -330,7 +340,12 @@ class HiddenMarkovProcess:
         return _HMMCursor(self)
 
     def _conditionals(self, seq: np.ndarray, chunk: int, cursor) -> Iterator[np.ndarray]:
-        """Rows from one ``cursor()`` carried across chunks."""
+        """Rows from the blocked filter, or from one ``cursor()`` carried
+        across chunks when the hidden chain has more than
+        ``_FILTER_MAX_STATES`` states."""
+        if len(self.transition) <= _FILTER_MAX_STATES:
+            yield from _rechunk(self._filtered(seq), chunk)
+            return
         size = self.alphabet.size
         walk = cursor()
         observe, conditional = walk.observe, walk.conditional
@@ -341,6 +356,79 @@ class HiddenMarkovProcess:
                 observe(x)
                 rows[i] = conditional()
             yield rows
+
+    def _filtered(self, seq: np.ndarray) -> Iterator[np.ndarray]:
+        """The forward filter as a blocked scan, one segment of
+        ``_FILTER_SEGMENT`` positions at a time.
+
+        ``pred`` is the predicted hidden law at a position, ``alpha @ A``
+        after the previous one (the stationary law at position 0).  Blocks
+        of ``_FILTER_BLOCK`` positions are fixed by absolute position.  Per
+        segment: (1) every whole block's transfer product
+        ``diag(E[:, x_0]) A diag(E[:, x_1]) ... A diag(E[:, x_last])`` is
+        formed for all blocks at once, each row renormalised at every step
+        and at the end weighted by its mass relative to the block's largest
+        row, with the masses summed as logs; (2) ``pred`` is carried across the
+        block starts in Python; (3) :meth:`_fill` runs the cursor's own
+        update from every block start at once.  A block whose carried mass
+        falls below ``_FILTER_TINY`` (an impossible history, or weights that
+        underflowed) is walked by :meth:`_fill` instead."""
+        A = np.array(self.transition)
+        E = np.array(self.emission)
+        emit = E.T.copy()  # emit[x] = E[:, x]
+        n_states, size = len(A), self.alphabet.size
+        L = _FILTER_BLOCK
+        pred = self._hidden_law
+        for lo in range(0, len(seq), _FILTER_SEGMENT):
+            x = seq[lo : lo + _FILTER_SEGMENT]
+            bad = x[(x < 0) | (x >= size)]
+            if len(bad):
+                raise ValueError(f"symbol index {bad[0]} outside alphabet")
+            n = len(x)
+            full = n // L
+            xs = np.zeros(-(-n // L) * L, dtype=np.intp)
+            xs[:n] = x
+            xs = xs.reshape(-1, L)
+            transfer = np.tile(np.eye(n_states), (full, 1, 1))
+            mass = np.empty((L, full, n_states))
+            mass[0] = emit[xs[:full, 0]]
+            for j in range(1, L):
+                transfer = (transfer @ A) * emit[xs[:full, j]][:, None, :]
+                total = transfer.sum(axis=2, out=mass[j])[:, :, None]
+                np.divide(transfer, total, out=transfer, where=total > 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_mass = np.log(mass).sum(axis=0)
+                transfer *= np.exp(log_mass - log_mass.max(axis=1, keepdims=True))[:, :, None]
+            starts = [pred]
+            for b in range(full):
+                v = pred @ transfer[b]
+                total = v.sum()
+                if total > _FILTER_TINY:
+                    pred = (v / total) @ A
+                else:
+                    pred = self._fill(pred[None], xs[b : b + 1], L, A, emit)[0, -1]
+                starts.append(pred)
+            filled = self._fill(np.array(starts[: len(xs)]), xs, n, A, emit)
+            yield (filled.reshape(-1, 1, n_states)[:n] @ E)[:, 0]
+
+    @staticmethod
+    def _fill(starts: np.ndarray, xs: np.ndarray, n: int, A: np.ndarray, emit: np.ndarray) -> np.ndarray:
+        """Predicted laws after each of the first ``n`` positions of the
+        blocks ``xs``: the cursor's update ``alpha = pred * E[:, x]``,
+        renormalised, then ``alpha @ A``, batched across the blocks."""
+        blocks, L = xs.shape
+        out = np.empty((blocks, L, len(A)))
+        pred = starts
+        for j in range(L):
+            rows = -(-(n - j) // L)  # the blocks that reach their j-th position
+            alpha = pred[:rows] * emit[xs[:rows, j]]
+            total = alpha.sum(axis=1)
+            if not (total > 0.0).all():
+                raise ValueError("history has zero probability under the model")
+            alpha /= total[:, None]
+            pred = (alpha[:, None, :] @ A)[:, 0]  # one vector-matrix product per row: the cursor's floats
+            out[:rows, j] = pred
+        return out
 
 
 ProcessSpec = Union[IIDProcess, MarkovProcess, HiddenMarkovProcess]
@@ -414,6 +502,23 @@ def _cdf(rows) -> np.ndarray:
     return cdf
 
 
+def _rechunk(parts: Iterable[np.ndarray], chunk: int) -> Iterator[np.ndarray]:
+    """The rows of ``parts`` regrouped into arrays of ``chunk`` rows (the last may be shorter)."""
+    held: list = []
+    count = 0
+    for part in parts:
+        while len(part):
+            take = part[: chunk - count]
+            part = part[len(take) :]
+            held.append(take)
+            count += len(take)
+            if count == chunk:
+                yield held[0] if len(held) == 1 else np.concatenate(held)
+                held, count = [], 0
+    if held:
+        yield np.concatenate(held)
+
+
 def _walk(cdf: np.ndarray, state: int, mod: int, chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
     """Walk a chain on the contexts that index the rows of ``cdf``; per chunk
     of uniforms, yield the context entered on each, as int32.
@@ -422,8 +527,9 @@ def _walk(cdf: np.ndarray, state: int, mod: int, chunks: Iterable[np.ndarray]) -
     ``state``, and moves to ``(state % mod) * len(row) + x``: Markov contexts
     for ``mod = |A|^(k-1)`` (x is the context mod |A|), hidden states for
     ``mod = 1``.  Each uniform thus maps every context to its successor, and
-    composing maps is associative.  So a chain needing at most
-    ``_SCAN_MAX_WORK`` comparisons per uniform, S * (len(row) - 1), is
+    composing maps is associative.  So a chain of S contexts with
+    S * (len(row) + 1) <= ``_SCAN_MAX_WORK`` (per uniform, the scan makes
+    S * (len(row) - 1) comparisons and gathers about 2 * S entries) is
     walked as a blocked prefix scan: the maps of each block of
     ``_SCAN_BLOCK`` uniforms (the last one padded) are composed for all
     blocks at once, the block starts are walked one block at a time, and
@@ -433,7 +539,7 @@ def _walk(cdf: np.ndarray, state: int, mod: int, chunks: Iterable[np.ndarray]) -
     """
     n_ctx, size = cdf.shape
     step = np.arange(n_ctx, dtype=np.int32) % mod * size  # the context entered on pick 0
-    if n_ctx * (size - 1) > _SCAN_MAX_WORK:
+    if n_ctx * (size + 1) > _SCAN_MAX_WORK:
         rows, step = cdf.tolist(), step.tolist()
         for us in chunks:
             entered = []
@@ -503,8 +609,10 @@ class Oracle:
     """Exact evaluator of P(X_{n+1} = . | X_0..X_n) for a process spec.
 
     ``cursor()`` returns a stateful stream (observe one symbol at a time and
-    read the current conditional in O(1)-ish work); ``conditionals`` answers
-    for every position of a whole sequence, chunk by chunk.
+    read the current conditional in O(1)-ish work) and is the reference;
+    ``conditionals`` answers for every position of a whole sequence, chunk
+    by chunk: bit for bit a cursor's floats for IID and Markov sources,
+    within 1e-13 of them for hidden Markov sources (the blocked filter).
     """
 
     def __init__(self, spec: ProcessSpec):
@@ -515,9 +623,15 @@ class Oracle:
 
     def conditionals(self, seq: np.ndarray, chunk: int) -> Iterator[np.ndarray]:
         """P(X_{n+1} = . | X_0..X_n) for every position n of ``seq``, as
-        arrays of ``chunk`` rows (the last one may be shorter).  Rows equal
-        the floats a cursor returns; wherever the family needs a cursor, it
-        comes from :meth:`cursor`."""
+        arrays of ``chunk`` rows (the last one may be shorter).  IID and
+        Markov rows equal the floats a cursor returns.  Hidden Markov rows
+        come from a blocked forward filter whose blocks are fixed by
+        absolute position, so they do not depend on ``chunk``; they are
+        within 1e-13 (max abs) of a cursor's, and equal to them above
+        ``_FILTER_MAX_STATES`` hidden states, where a cursor computes them.
+        Wherever the family needs a cursor, it comes from :meth:`cursor`.
+        A history of probability zero, or a symbol outside the alphabet,
+        raises ``ValueError``."""
         return self.spec._conditionals(seq, chunk, self.cursor)
 
 

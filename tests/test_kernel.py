@@ -110,7 +110,10 @@ def test_chunked_conditionals_equal_cursor(name, chunk):
         cursor.observe(x)
         want.append(cursor.conditional())
     got = np.concatenate(list(Oracle(spec).conditionals(seq, chunk)))
-    assert got.tolist() == [list(row) for row in want]
+    if name == "hmm":  # the blocked filter reorders the cursor's arithmetic across blocks
+        assert np.abs(got - np.array(want)).max() <= 1e-13
+    else:
+        assert got.tolist() == [list(row) for row in want]
 
 
 @pytest.mark.parametrize("name", ["markov3", "hmm"])

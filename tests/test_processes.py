@@ -275,17 +275,15 @@ class TestGenerate:
             try:
                 if markov:
                     spec = MarkovProcess(Alphabet.of_size(size), k, nudged(rng, random_stochastic(rng, size**k, size)))
-                    work = size**k * (size - 1)
                 else:
                     trans = nudged(rng, random_stochastic(rng, states, states))
                     spec = HiddenMarkovProcess(Alphabet.of_size(size), trans, nudged(rng, random_stochastic(rng, states, size)))
-                    work = states * (states - 1)
                 break
             except ValueError:
                 pass
         for horizon in (1, k, 33, 2000):
             drawn = []
-            for max_work in (work - 1, work):  # per-symbol loop, then blocked scan
+            for max_work in (-1, math.inf):  # per-symbol loop, then blocked scan
                 with mock.patch.object(processes, "_SCAN_MAX_WORK", max_work):
                     drawn.append(generate(spec, seed, horizon).seq.as_array().tobytes())
             assert drawn[0] == drawn[1], (spec, seed, horizon)
@@ -390,7 +388,10 @@ class TestOracle:
             cursor = Oracle(spec).cursor()
             for n, x in enumerate(seq.tolist()):
                 cursor.observe(x)
-                assert cursor.conditional() == tuple(rows[n])
+                if spec is HMM2:  # the blocked filter reorders the cursor's arithmetic across blocks
+                    assert np.abs(np.array(cursor.conditional()) - rows[n]).max() <= 1e-13
+                else:
+                    assert cursor.conditional() == tuple(rows[n])
 
     def test_empty_history_rejected(self):
         for spec in (IIDProcess(BINARY, (0.3, 0.7)), FLIP, ORDER2, HMM2):
@@ -414,6 +415,118 @@ class TestOracle:
         list(Oracle(spec).conditionals(seq, 64))
         stationary_block_law(spec, 2)
         assert len(calls) == 1
+
+
+def random_hmm(seed, states, size, memory=0.0):
+    """An HMM with zero entries and nudged rows, drawn again until its hidden
+    chain is ergodic.  The hidden chain stays put with extra probability
+    ``memory``; near 1 the filter forgets its start slowly, so a block's
+    filter still depends on the law it starts from."""
+    rng = np.random.default_rng(seed)
+    while True:
+        try:
+            trans = memory * np.eye(states) + (1.0 - memory) * np.array(random_stochastic(rng, states, states))
+            trans = nudged(rng, tuple(map(tuple, trans)))
+            return HiddenMarkovProcess(Alphabet.of_size(size), trans, nudged(rng, random_stochastic(rng, states, size)))
+        except ValueError:
+            pass
+
+
+def filtered_rows(spec, seq, chunk, segment=processes._FILTER_SEGMENT):
+    with mock.patch.object(processes, "_FILTER_SEGMENT", segment):
+        return np.concatenate(list(Oracle(spec).conditionals(seq, chunk)))
+
+
+# symbol c is never emitted; under NO_REPEAT a 1 is hidden state 1, which never follows itself
+NEVER_C = HiddenMarkovProcess(Alphabet("abc"), ((0.9, 0.1), (0.2, 0.8)), ((0.5, 0.5, 0.0), (0.3, 0.7, 0.0)))
+NO_REPEAT = HiddenMarkovProcess(BINARY, ((0.5, 0.5), (1.0, 0.0)), ((1.0, 0.0), (0.0, 1.0)))
+ROUTES = [pytest.param(processes._FILTER_MAX_STATES, id="filter"), pytest.param(0, id="cursor")]
+
+
+class TestBlockedFilter:
+    """``Oracle.conditionals`` for hidden Markov sources runs the forward
+    filter as a blocked scan; the cursor stays the exact reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        states=st.integers(1, 8),
+        size=st.integers(2, 4),
+        memory=st.sampled_from([0.0, 0.99, 0.999]),
+        horizon=st.integers(1, 700),
+        chunk=st.sampled_from([1, 7, 1000]),
+        segment=st.sampled_from([64, 128, 192, processes._FILTER_SEGMENT]),
+    )
+    def test_rows_match_the_cursor(self, seed, states, size, memory, horizon, chunk, segment):
+        spec = random_hmm(seed, states, size, memory)
+        seq = generate(spec, seed, horizon).seq.as_array()
+        rows = filtered_rows(spec, seq, chunk, segment)
+        cursor = Oracle(spec).cursor()
+        want = []
+        for x in seq.tolist():
+            cursor.observe(x)
+            want.append(cursor.conditional())
+        assert np.abs(rows - np.array(want)).max() <= 1e-13
+        assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        states=st.integers(1, 8),
+        size=st.integers(2, 4),
+        memory=st.sampled_from([0.0, 0.999]),
+        horizon=st.integers(1, 700),
+    )
+    def test_rows_do_not_depend_on_chunk_or_segment(self, seed, states, size, memory, horizon):
+        spec = random_hmm(seed, states, size, memory)
+        seq = generate(spec, seed, horizon).seq.as_array()
+        whole = filtered_rows(spec, seq, 1000)
+        for segment in (64, 128, 192):
+            for chunk in (1, 7, 1000):
+                assert np.array_equal(filtered_rows(spec, seq, chunk, segment), whole), (segment, chunk)
+
+    @pytest.mark.parametrize("max_states", ROUTES)
+    @pytest.mark.parametrize(
+        "spec, history, at",
+        [
+            pytest.param(spec, history, at, id=f"{name}-{where}")
+            for name, spec, history in [
+                ("never-emitted", NEVER_C, [2]),
+                ("impossible-pair", NO_REPEAT, [0, 1, 1]),
+                ("outside-3", NEVER_C, [3]),
+                ("outside-2", NO_REPEAT, [2]),
+            ]
+            for where, at in [("first", 0), ("mid-block", 100), ("block-start", 64), ("segment-start", 128)]
+            if at >= len(history) - 1
+        ],
+    )
+    def test_impossible_history_raises(self, monkeypatch, max_states, spec, history, at):
+        monkeypatch.setattr(processes, "_FILTER_MAX_STATES", max_states)
+        seq = generate(spec, 8, 300).seq.as_array().copy()
+        seq[at - len(history) + 1 : at + 1] = history
+        if at:
+            assert len(filtered_rows(spec, seq[:at], 7, 128)) == at  # the history before it is possible
+        with pytest.raises(ValueError):
+            filtered_rows(spec, seq, 7, 128)
+
+    def test_block_of_vanishing_mass_is_walked(self, monkeypatch):
+        # b then a puts nearly all predicted mass on hidden state 0, which
+        # emits a second a with probability 1e-250: block 64's carried mass
+        # falls below _FILTER_TINY although the history is possible
+        spec = HiddenMarkovProcess(Alphabet("ab"), ((0.5, 0.5), (1.0, 0.0)), ((1e-250, 1.0), (1.0, 0.0)))
+        seq = generate(spec, 3, 300).seq.as_array().copy()
+        seq[62:65] = (1, 0, 0)
+        walked = []
+        fill = processes.HiddenMarkovProcess._fill
+        monkeypatch.setattr(
+            processes.HiddenMarkovProcess, "_fill", staticmethod(lambda *args: walked.append(len(args[0])) or fill(*args))
+        )
+        rows = filtered_rows(spec, seq, 7)
+        assert walked == [1, 5]  # block 1 alone, then the whole sequence's 5 blocks
+        cursor = Oracle(spec).cursor()
+        for x, row in zip(seq.tolist(), rows):
+            cursor.observe(x)
+            assert np.abs(np.array(cursor.conditional()) - row).max() <= 1e-13
 
 
 class TestBlockLaw:

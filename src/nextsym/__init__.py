@@ -38,7 +38,6 @@ from .processes import (
     Trajectory,
     generate,
     stationary_block_law,
-    stationary_distribution,
 )
 from .seeding import derive_seed
 from .sequences import Alphabet, SymbolSequence
@@ -67,7 +66,6 @@ __all__ = [
     "Oracle",
     "Trajectory",
     "generate",
-    "stationary_distribution",
     "stationary_block_law",
     "ExperimentConfig",
     "ExperimentResult",

@@ -155,22 +155,11 @@ def _read_symbols(path: str, alphabet, lines_mode: bool) -> list:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if lines_mode:
-                    token = line.strip()
-                    if not token:
-                        continue
-                    try:
-                        out.append(alphabet.encode(token))
-                    except ValueError as exc:
-                        raise ConfigError(f"line {lineno}: {exc}") from exc
-                else:
-                    for ch in line:
-                        if ch.isspace():
-                            continue
-                        try:
-                            out.append(alphabet.encode(ch))
-                        except ValueError as exc:
-                            raise ConfigError(f"line {lineno}: {exc}") from exc
+                tokens = [line.strip()] if lines_mode else line  # stripped lines or characters; blank ones skipped
+                try:
+                    out += [alphabet.encode(token) for token in tokens if token.strip()]
+                except ValueError as exc:
+                    raise ConfigError(f"line {lineno}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read sequence file: {exc}") from exc
     if not out:

@@ -253,7 +253,7 @@ def build_experiment(doc: dict, spec: ProcessSpec, schedules: Schedules) -> Expe
     try:
         cfg = cfg.resolved()
     except ValueError as exc:
-        raise ConfigError(f"experiment: {exc}") from exc
+        raise ConfigError(f"experiment.{exc}") from exc  # every message starts with its field
     if payoff is not None:
         # bounds every payoff sum and Cesaro sum, so scoring cannot overflow to inf or nan
         max_abs = max(map(abs, payoff.values))

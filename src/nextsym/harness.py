@@ -101,11 +101,11 @@ class ExperimentConfig:
         if not self.epsilons:
             raise ValueError("epsilons must not be empty")
         indicator_like = self.payoff is None or set(self.payoff.values) <= {0.0, 1.0}
-        for eps in self.epsilons:
+        for i, eps in enumerate(self.epsilons):
             if not 0 < eps < math.inf:
-                raise ValueError("epsilons must be positive and finite")
+                raise ValueError(f"epsilons[{i}] must be positive and finite, got {eps!r}")
             if indicator_like and eps > 1:
-                raise ValueError("epsilons must lie in (0, 1] for indicator payoffs")
+                raise ValueError(f"epsilons[{i}] must be in (0, 1] for indicator payoffs, got {eps!r}")
         if self.payoff is not None and self.payoff.alphabet != self.spec.alphabet:
             raise ValueError("payoff alphabet does not match the process alphabet")
         return replace(self, schedules=schedules, eval_grid=grid, epsilons=tuple(self.epsilons))

@@ -19,6 +19,11 @@ distribution of the next symbol given the observed prefix:
 Each family owns its draw, block law, cursor and chunked conditionals, and
 computes the stationary laws they need once per spec; :func:`generate`,
 :func:`stationary_block_law` and :class:`Oracle` validate and hand over.
+The stationary law of the hidden chain, and of a Markov chain's contexts up
+to ``_DENSE_MAX`` (1,024) of them, is solved directly: the balance equations
+with one replaced by the normalisation.  Above that a dense context matrix
+is too large, and a power iteration finds the law, stopping after 200,000
+steps.  Either way the residual ``||pi P - pi||_inf`` is at most 1e-12.
 
 Trajectories are drawn with the stationary law as the initial condition, so
 the generated segment is exactly stationary, and are bit-reproducible given
@@ -46,7 +51,6 @@ __all__ = [
     "Trajectory",
     "Oracle",
     "generate",
-    "stationary_distribution",
     "stationary_block_law",
     "MAX_BLOCKS",
     "block_space_fits",
@@ -59,6 +63,7 @@ _ROW_TOL = 1e-12
 _STATIONARY_TOL = 1e-12
 MAX_BLOCKS = 65536  # most Markov contexts, and most blocks an exact block law enumerates
 _MAX_POWER_ITERS = 200_000
+_DENSE_MAX = 1024  # most Markov contexts solved directly (1,024: 28 ms, 8 MB matrix); more are iterated
 _DRAW_CHUNK = 1 << 14  # uniforms are drawn this many at a time; the stream is the same
 _SCAN_BLOCK = 32  # uniforms per block of _walk's blocked scan
 _SCAN_MAX_WORK = 132  # measured: above this S * (row length + 1), _walk's loop beats its scan
@@ -210,19 +215,23 @@ class MarkovProcess:
 
     @cached_property
     def _context_law(self) -> np.ndarray:
-        """Stationary law over order-k context codes, by sparse power iteration."""
+        """Stationary law over order-k context codes: mass ``pi[c] * P[c, b]``
+        flows to context ``(c % |A|^(k-1)) * |A| + b``.  Up to ``_DENSE_MAX``
+        contexts that chain is solved directly, above it iterated."""
         size = self.alphabet.size
-        k = self.order
         P = np.array(self.rows)  # (size^k, size)
-        n_ctx = size**k
-        if k == 1:
-            return stationary_distribution(P)
-        mod = size ** (k - 1)
+        n_ctx = len(P)
+        mod = n_ctx // size
+        if n_ctx <= _DENSE_MAX:
+            ctx = np.arange(n_ctx)[:, None]
+            Q = np.zeros((n_ctx, n_ctx))
+            Q[ctx, ctx % mod * size + np.arange(size)] = P
+            return _solve_stationary(Q)
 
-        def step(pi):  # mass pi[c] * P[c, b] flows to context (c mod mod) * size + b
+        def step(pi):
             return (pi[:, None] * P).reshape(size, mod * size).sum(axis=0)
 
-        return _power_iteration(step, n_ctx, "block-chain power iteration")
+        return _power_iteration(step, n_ctx)
 
     @cached_property
     def _marginals(self) -> list:
@@ -308,7 +317,7 @@ class HiddenMarkovProcess:
     @cached_property
     def _hidden_law(self) -> np.ndarray:
         """Stationary law of the hidden chain."""
-        return stationary_distribution(np.array(self.transition))
+        return _solve_stationary(np.array(self.transition))
 
     def _draw(self, rng: np.random.Generator, n_sym: int) -> bytearray:
         """The hidden chain walks the odd uniforms; the even ones pick a chunk's emissions column by column."""
@@ -376,14 +385,11 @@ class HiddenMarkovProcess:
         A = np.array(self.transition)
         E = np.array(self.emission)
         emit = E.T.copy()  # emit[x] = E[:, x]
-        n_states, size = len(A), self.alphabet.size
+        n_states = len(A)
         L = _FILTER_BLOCK
         pred = self._hidden_law
         for lo in range(0, len(seq), _FILTER_SEGMENT):
             x = seq[lo : lo + _FILTER_SEGMENT]
-            bad = x[(x < 0) | (x >= size)]
-            if len(bad):
-                raise ValueError(f"symbol index {bad[0]} outside alphabet")
             n = len(x)
             full = n // L
             xs = np.zeros(-(-n // L) * L, dtype=np.intp)
@@ -442,35 +448,21 @@ class Trajectory:
     seq: SymbolSequence
 
 
-def stationary_distribution(transition) -> np.ndarray:
-    """Stationary row vector of an irreducible aperiodic stochastic matrix.
-
-    Exact shortcuts cover the symmetric cases (doubly stochastic -> uniform,
-    two states -> closed form); otherwise power iteration runs until the
-    residual ||pi P - pi||_inf is at most 1e-12.
-    """
-    P = np.asarray(transition, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError("transition must be a square matrix")
-    n = P.shape[0]
-    _check_rows([tuple(row) for row in P], n, n, "transition")
-    if n > 1:
-        _check_irreducible_aperiodic(_successors(P), "chain")
-    if n == 1:
-        return np.array([1.0])
-    if np.abs(P.sum(axis=0) - 1.0).max() <= 1e-14:  # doubly stochastic
-        return np.full(n, 1.0 / n)
-    if n == 2:
-        a, b = P[0, 1], P[1, 0]
-        return np.array([b / (a + b), a / (a + b)])
-    return _power_iteration(lambda pi: pi @ P, n, "power iteration")
+def _solve_stationary(P: np.ndarray) -> np.ndarray:
+    """Stationary row vector of an irreducible aperiodic stochastic matrix:
+    the balance equations ``pi (P - I) = 0`` with the last one replaced by
+    ``sum(pi) = 1``, solved directly, with round-off negatives set to 0."""
+    identity = np.eye(len(P))
+    M = P.T - identity
+    M[-1] = 1.0
+    pi = np.maximum(np.linalg.solve(M, identity[-1]), 0.0)
+    return _checked(pi, pi @ P)
 
 
-def _power_iteration(step, n: int, what: str) -> np.ndarray:
+def _power_iteration(step, n: int) -> np.ndarray:
     """Fixed point of ``step`` (one transition of a length-n probability row
     vector) from the uniform vector, renormalised after every step, until
-    successive iterates agree to 1e-15; raises unless the residual
-    ||step(pi) - pi||_inf is then at most 1e-12."""
+    successive iterates agree to 1e-15 or ``_MAX_POWER_ITERS`` steps ran."""
     pi = np.full(n, 1.0 / n)
     for _ in range(_MAX_POWER_ITERS):
         nxt = step(pi)
@@ -479,9 +471,14 @@ def _power_iteration(step, n: int, what: str) -> np.ndarray:
         pi = nxt
         if done:
             break
-    residual = np.abs(step(pi) - pi).max()
+    return _checked(pi, step(pi))
+
+
+def _checked(pi: np.ndarray, stepped: np.ndarray) -> np.ndarray:
+    """``pi``, unless the residual ||pi P - pi||_inf exceeds 1e-12."""
+    residual = np.abs(stepped - pi).max()
     if residual > _STATIONARY_TOL:
-        raise ValueError(f"{what} did not converge (residual {residual:.3e})")
+        raise ValueError(f"stationary law residual {residual:.3e} exceeds {_STATIONARY_TOL}")
     return pi
 
 
@@ -631,7 +628,10 @@ class Oracle:
         ``_FILTER_MAX_STATES`` hidden states, where a cursor computes them.
         Wherever the family needs a cursor, it comes from :meth:`cursor`.
         A history of probability zero, or a symbol outside the alphabet,
-        raises ``ValueError``."""
+        raises ``ValueError``; the symbols are checked before any row."""
+        size = self.spec.alphabet.size
+        if len(seq) and not 0 <= seq.min() <= seq.max() < size:
+            raise ValueError(f"symbol index {seq[(seq < 0) | (seq >= size)][0]} outside alphabet")
         return self.spec._conditionals(seq, chunk, self.cursor)
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -29,6 +30,23 @@ MARKOV_DOC = {
 }
 
 
+_R = np.random.default_rng(0).random((4, 4))
+SLOW_SOURCES = {  # hidden or context chains that mix slowly
+    "hmm": {
+        "kind": "hmm",
+        "alphabet": "01",
+        "transition": (0.9999 * np.eye(4) + 0.0001 * _R / _R.sum(axis=1, keepdims=True)).tolist(),
+        "emission": [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5], [0.3, 0.7]],
+    },
+    "order2": {
+        "kind": "markov",
+        "alphabet": "01",
+        "order": 2,
+        "transition": [[0.99999, 0.00001], [0.5, 0.5], [0.5, 0.5], [0.00002, 0.99998]],
+    },
+}
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -36,6 +54,12 @@ def write_config(tmp_path, doc, name="config.json"):
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("name", SLOW_SOURCES)
+    def test_slowly_mixing_source_runs(self, tmp_path, name):
+        # a step-capped power iteration stopped short of their stationary laws and exited 1
+        doc = {"process": SLOW_SOURCES[name], "experiment": {"horizon": 100, "replicates": 1}}
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 0
+
     def test_happy_path_writes_three_files(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MARKOV_DOC)
         out = tmp_path / "out"
@@ -350,6 +374,8 @@ class TestLemmas:
         ("experiment.workers", 0),
         ("experiment.eval_grid[0]", 0),
         ("experiment.eval_grid[0]", 513),  # above the horizon
+        ("experiment.epsilons[1]", -1),
+        ("experiment.epsilons[0]", 2),  # above 1 with an indicator payoff
         ("process.order", 0),
         ("process.order", 17),  # 2^17 contexts
         ("schedules.K.base", 1),
@@ -364,13 +390,14 @@ def test_out_of_range_input_exits_two_naming_its_field(tmp_path, capsys, field, 
         if field.startswith(("experiment.", "process.", "schedules.")):
             command, doc = ["simulate", "--out", str(tmp_path / "out")], json.loads(json.dumps(MARKOV_DOC))
             doc["experiment"]["eval_grid"] = [1, 512]
+            doc["experiment"]["epsilons"] = [0.05, 0.1]
         else:
             command, doc = ["lemmas"], TestLemmas().lemmas_doc()
         if (field, value) == ("resampling.cases[0].block_len", 3):
             doc["process"] = {"kind": "iid", "alphabet": 41, "probs": [1 / 41] * 41}
         if field in ("schedules.K.value", "schedules.J.value"):
             doc["schedules"] = {field.split(".")[1]: {"kind": "constant"}}
-        *parents, key = field.replace("[0]", ".0").split(".")
+        *parents, key = re.sub(r"\[(\d+)\]", r".\1", field).split(".")
         target = doc
         for name in parents:
             target = target[int(name)] if name.isdigit() else target.setdefault(name, {})

@@ -129,7 +129,7 @@ def test_hmm_cursor_matches_plain_forward_filter():
     cursor = Oracle(spec).cursor()
     alpha = None
     for x in generate(spec, 3, 400).seq:
-        v = processes.stationary_distribution(A) * E[:, x] if alpha is None else (alpha @ A) * E[:, x]
+        v = spec._hidden_law * E[:, x] if alpha is None else (alpha @ A) * E[:, x]
         alpha = v / v.sum()
         cursor.observe(x)
         assert cursor.conditional() == tuple(float(p) for p in (alpha @ A) @ E)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,6 @@ from nextsym import (
     generate,
     processes,
     stationary_block_law,
-    stationary_distribution,
 )
 
 BINARY = Alphabet("01")
@@ -26,14 +26,38 @@ ORDER2 = MarkovProcess(BINARY, 2, ((0.9, 0.1), (0.6, 0.4), (0.4, 0.6), (0.1, 0.9
 HMM2 = HiddenMarkovProcess(BINARY, ((0.95, 0.05), (0.10, 0.90)), ((0.9, 0.1), (0.2, 0.8)))
 
 
-def linear_solve_stationary(P):
-    """Independent oracle: solve pi (P - I) = 0 with the normalization row."""
-    P = np.asarray(P, dtype=float)
-    n = P.shape[0]
-    A = np.vstack([(P.T - np.eye(n))[:-1], np.ones(n)])
-    b = np.zeros(n)
-    b[-1] = 1.0
-    return np.linalg.solve(A, b)
+def exact_stationary(P):
+    """Independent oracle: Gauss-Jordan elimination in exact fractions on the
+    balance equations pi (P - I) = 0 with the last one replaced by sum(pi) = 1,
+    rounded to floats at the end."""
+    n = len(P)
+    M = [[Fraction(float(P[j][i])) - (i == j) for j in range(n)] + [Fraction(0)] for i in range(n - 1)]
+    M.append([Fraction(1)] * (n + 1))
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if M[r][col] != 0)
+        M[col], M[pivot] = M[pivot], M[col]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col] / M[col][col]
+                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+    return np.array([float(M[i][n] / M[i][i]) for i in range(n)])
+
+
+def context_matrix(spec):
+    """The order-k chain on contexts: context c moves to (c * |A| + b) mod |A|^k with probability rows[c][b]."""
+    size, n_ctx = spec.alphabet.size, len(spec.rows)
+    Q = np.zeros((n_ctx, n_ctx))
+    for c, row in enumerate(spec.rows):
+        for b, p in enumerate(row):
+            Q[c, (c * size + b) % n_ctx] += p
+    return Q
+
+
+def chain_and_hmm(P):
+    """An order-1 chain with transition P and an identity-emission HMM with hidden chain P."""
+    alphabet = Alphabet.of_size(len(P))
+    identity = tuple(tuple(float(i == j) for j in range(len(P))) for i in range(len(P)))
+    return MarkovProcess(alphabet, 1, P), HiddenMarkovProcess(alphabet, P, identity)
 
 
 def replay(spec, history):
@@ -64,6 +88,12 @@ def random_stochastic(rng, n_rows, width):
     rows = rng.random((n_rows, width)) * (rng.random((n_rows, width)) > 0.35)
     rows[np.arange(n_rows), rng.integers(0, width, n_rows)] += 0.1
     return tuple(tuple(row / row.sum()) for row in rows)
+
+
+def positive_stochastic(rng, n_rows, width):
+    """Rows with every entry at least about 0.01 / width: the chain mixes fast."""
+    rows = rng.dirichlet(np.ones(width), size=n_rows) + 0.01
+    return rows / rows.sum(axis=1, keepdims=True)
 
 
 def cumulative(row):
@@ -151,7 +181,7 @@ def hmm_path_sum_conditional(spec, history):
     """Exponential enumeration over hidden paths: P(X_{n+1}=x | X_0..X_n)."""
     A = np.array(spec.transition)
     E = np.array(spec.emission)
-    pi = linear_solve_stationary(A)
+    pi = exact_stationary(A)
     n_states = A.shape[0]
     m = len(history)
     joint = np.zeros(spec.alphabet.size)
@@ -167,39 +197,82 @@ def hmm_path_sum_conditional(spec, history):
     return joint / evidence
 
 
+SLOW_R = np.random.default_rng(0).random((4, 4))
+SLOW_HMM = HiddenMarkovProcess(  # spectral gap near 1e-4
+    BINARY,
+    tuple(map(tuple, 0.9999 * np.eye(4) + 0.0001 * SLOW_R / SLOW_R.sum(axis=1, keepdims=True))),
+    ((0.9, 0.1), (0.2, 0.8), (0.5, 0.5), (0.3, 0.7)),
+)
+SLOW_ORDER2 = MarkovProcess(BINARY, 2, ((0.99999, 0.00001), (0.5, 0.5), (0.5, 0.5), (0.00002, 0.99998)))
+
+
 class TestStationaryDistribution:
+    """The stationary law through the families: an order-1 chain's law is
+    its own block law of length 1, an identity-emission HMM's its hidden law."""
+
     def test_symmetric_flip_exact(self):
-        pi = stationary_distribution([[0.8, 0.2], [0.2, 0.8]])
-        assert pi.tolist() == [0.5, 0.5]
+        for spec in chain_and_hmm(((0.8, 0.2), (0.2, 0.8))):
+            assert np.abs(stationary_block_law(spec, 1) - 0.5).max() <= 1e-15
 
     def test_two_thirds_example(self):
-        pi = stationary_distribution([[0.9, 0.1], [0.2, 0.8]])
-        assert np.allclose(pi, [2 / 3, 1 / 3], atol=1e-12)
-        assert np.allclose(pi, linear_solve_stationary([[0.9, 0.1], [0.2, 0.8]]), atol=1e-12)
+        for spec in chain_and_hmm(((0.9, 0.1), (0.2, 0.8))):
+            assert np.abs(stationary_block_law(spec, 1) - [2 / 3, 1 / 3]).max() <= 1e-15
 
     def test_tiny_mixing_symmetric(self):
-        pi = stationary_distribution([[0.99, 0.01], [0.01, 0.99]])
-        assert pi.tolist() == [0.5, 0.5]
+        for spec in chain_and_hmm(((0.99, 0.01), (0.01, 0.99))):
+            assert np.abs(stationary_block_law(spec, 1) - 0.5).max() <= 1e-15
 
-    def test_power_iteration_against_linear_solve(self):
+    def test_laws_match_exact_elimination(self):
         rng = np.random.default_rng(21)
         for _ in range(25):
-            n = int(rng.integers(3, 7))
-            P = rng.dirichlet(np.ones(n), size=n) + 0.01
-            P /= P.sum(axis=1, keepdims=True)
-            pi = stationary_distribution(P)
-            assert np.abs(pi @ P - pi).max() <= 1e-12
-            assert np.allclose(pi, linear_solve_stationary(P), atol=1e-10)
+            n = int(rng.integers(2, 7))
+            P = positive_stochastic(rng, n, n)
+            want = exact_stationary(P)
+            for spec in chain_and_hmm(tuple(map(tuple, P))):
+                law = stationary_block_law(spec, 1)
+                assert np.abs(law @ P - law).max() <= 1e-12
+                assert np.abs(law - want).max() <= 1e-15
+        for order, size in [(2, 2), (2, 3), (3, 2), (4, 2)]:
+            rows = tuple(map(tuple, positive_stochastic(rng, size**order, size)))
+            spec = MarkovProcess(Alphabet.of_size(size), order, rows)
+            Q = context_matrix(spec)
+            law = stationary_block_law(spec, order)
+            assert np.abs(law @ Q - law).max() <= 1e-12
+            assert np.abs(law - exact_stationary(Q)).max() <= 1e-15
+
+    @pytest.mark.parametrize("spec", [SLOW_HMM, SLOW_ORDER2], ids=["hmm", "order2"])
+    def test_slowly_mixing_chain(self, spec):
+        # a power iteration capped at 200,000 steps stops short here, at residuals 5.5e-11 and 6.1e-8
+        if isinstance(spec, HiddenMarkovProcess):
+            P, law = np.array(spec.transition), spec._hidden_law
+        else:
+            P, law = context_matrix(spec), stationary_block_law(spec, 2)
+        assert np.abs(law @ P - law).max() <= 1e-12
+        assert np.abs(law - exact_stationary(P)).max() <= 1e-15
+
+    def test_direct_solve_and_power_iteration_agree(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        for order, size in [(1, 2), (1, 4), (2, 2), (2, 3), (3, 2), (5, 2)]:
+            rows = tuple(map(tuple, positive_stochastic(rng, size**order, size)))
+            spec = MarkovProcess(Alphabet.of_size(size), order, rows)
+            solved = stationary_block_law(spec, order)
+            with monkeypatch.context() as patch:
+                patch.setattr(processes, "_DENSE_MAX", 0)
+                iterated = stationary_block_law(dataclasses.replace(spec), order)
+            assert np.abs(solved - iterated).max() <= 1e-12
 
     def test_rejects_bad_matrices(self):
+        for P in (
+            ((0.9, 0.2), (0.2, 0.8)),  # row sum off
+            ((1.0, 0.0), (0.0, 1.0)),  # reducible
+            ((0.0, 1.0), (1.0, 0.0)),  # periodic
+        ):
+            with pytest.raises(ValueError):
+                MarkovProcess(BINARY, 1, P)
+            with pytest.raises(ValueError):
+                HiddenMarkovProcess(BINARY, P, ((1.0, 0.0), (0.0, 1.0)))
         with pytest.raises(ValueError):
-            stationary_distribution([[0.9, 0.2], [0.2, 0.8]])  # row sum off
-        with pytest.raises(ValueError):
-            stationary_distribution([[1.0, 0.0], [0.0, 1.0]])  # reducible
-        with pytest.raises(ValueError):
-            stationary_distribution([[0.0, 1.0], [1.0, 0.0]])  # periodic
-        with pytest.raises(ValueError):
-            stationary_distribution([[0.5, 0.5]])  # not square
+            HiddenMarkovProcess(BINARY, ((0.5, 0.5),), ((0.5, 0.5),))  # not square
 
 
 class TestSpecValidation:
@@ -402,13 +475,16 @@ class TestOracle:
         for spec in (IIDProcess(BINARY, (0.3, 0.7)), FLIP, ORDER2, HMM2):
             with pytest.raises(ValueError):
                 replay(spec, [0, 5])
+            for history in ([0, 5], [0, 2, 0], [0, 0, 3], [1, -1]):
+                with pytest.raises(ValueError, match="outside alphabet"):
+                    Oracle(spec).conditionals(np.array(history), 7)  # checked before any row is made
 
-    @pytest.mark.parametrize("spec, law", [(ORDER2, "_power_iteration"), (HMM2, "stationary_distribution")])
-    def test_stationary_law_is_computed_once_per_spec(self, monkeypatch, spec, law):
+    @pytest.mark.parametrize("spec", [ORDER2, HMM2], ids=["markov", "hmm"])
+    def test_stationary_law_is_computed_once_per_spec(self, monkeypatch, spec):
         spec = dataclasses.replace(spec)  # an equal spec that has computed nothing yet
         calls = []
-        original = getattr(processes, law)
-        monkeypatch.setattr(processes, law, lambda *args: calls.append(law) or original(*args))
+        original = processes._solve_stationary
+        monkeypatch.setattr(processes, "_solve_stationary", lambda P: calls.append(P) or original(P))
         seq = generate(spec, 1, 300).seq.as_array()
         generate(spec, 2, 300)
         generate(spec, 3, 300)

@@ -217,25 +217,29 @@ class ConstantSchedule:
 
 
 class LinearJ:
-    """J(n) = max(1, ceil(coeff * n)); violates J/n -> 0 on purpose when
-    coeff is positive, which the lemma checks must detect."""
+    """J(n) = max(1, ceil(coeff * n)), saturated at ``SCHEDULE_CAP``: no
+    match count reaches that, so the saturated threshold decides as J(n)
+    does, and the int64 cast cannot wrap.  Violates J/n -> 0 on purpose
+    when coeff is positive, which the lemma checks must detect."""
 
     __slots__ = ("coeff",)
 
     def __init__(self, coeff: float):
+        if not math.isfinite(coeff):
+            raise ValueError("coeff must be a finite number")
         self.coeff = coeff
 
     def __call__(self, n: int) -> int:
         if n < 1:
             raise ValueError("n must be >= 1")
-        return max(1, math.ceil(self.coeff * n))
+        scaled = self.coeff * n
+        return SCHEDULE_CAP if scaled >= SCHEDULE_CAP else max(1, math.ceil(scaled))
 
     def values(self, lo: int, hi: int) -> np.ndarray:
-        """J(n) for n in [lo, hi), saturated at ``SCHEDULE_CAP``: no match
-        count reaches that, so the saturated threshold decides as J(n) does,
-        and the int64 cast cannot wrap."""
+        """J(n) for n in [lo, hi), as the scalar call computes it."""
         # float(n) * coeff rounds exactly as the scalar call does for n < 2^53
-        scaled = np.ceil(self.coeff * np.arange(lo, hi, dtype=np.float64))
+        with np.errstate(over="ignore"):
+            scaled = np.ceil(self.coeff * np.arange(lo, hi, dtype=np.float64))
         return np.clip(scaled, 1.0, SCHEDULE_CAP).astype(np.int64)
 
 

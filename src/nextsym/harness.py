@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernel
-from .estimator import PayoffFunction, Schedules, payoff_means, recurrence_times
+from .estimator import SCHEDULE_CAP, PayoffFunction, Schedules, payoff_means, recurrence_times
 from .processes import Oracle, ProcessSpec, generate, stationary_block_law
 from .seeding import MAX_SEED, derive_seed
 
@@ -393,8 +393,9 @@ class KappaDivergenceReport:
 
 def _schedule_hypothesis_note(schedules: Schedules, horizon: int) -> str:
     """Empty string when the divergence hypotheses look satisfied on a grid:
-    K and J nondecreasing, J(n)/n nonincreasing and strictly smaller at the
-    horizon than at the start."""
+    K and J nondecreasing, J below ``SCHEDULE_CAP`` (a J clipped there would
+    decay over n whatever its law), J(n)/n nonincreasing and strictly
+    smaller at the horizon than at the start."""
     grid = sorted({min(16, horizon), 256, 4096, 65536, horizon})
     grid = [n for n in grid if 1 <= n <= horizon]
     if len(grid) < 2:
@@ -405,6 +406,8 @@ def _schedule_hypothesis_note(schedules: Schedules, horizon: int) -> str:
         return f"K is not nondecreasing on grid {grid}"
     if any(b < a for a, b in zip(js, js[1:])):
         return f"J is not nondecreasing on grid {grid}"
+    if js[-1] >= SCHEDULE_CAP:
+        return f"J(n) reaches its cap {SCHEDULE_CAP} on grid {grid}"
     ratios = [j / n for j, n in zip(js, grid)]
     if any(b > a + 1e-12 for a, b in zip(ratios, ratios[1:])) or not ratios[-1] < ratios[0]:
         return f"J(n)/n does not decay on grid {grid}"

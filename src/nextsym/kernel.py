@@ -195,11 +195,14 @@ def replay(
 
     K is evaluated once per position before the replay, to find the longest
     block length any position may match; J once per position as the chunk
-    comes.  Skip the histograms with ``histogram=False``.
+    comes.  Skip the histograms with ``histogram=False``.  A ``chunk``
+    below 1 raises ``ValueError``.
     """
+    if chunk is not None and chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     seq = np.asarray(seq)
     total = len(seq)
-    rows = chunk or chunk_rows(size)
+    rows = chunk_rows(size) if chunk is None else chunk
     bounds = [(lo, min(lo + rows, total)) for lo in range(0, total, rows)]
     caps = [_caps(schedules, lo, hi) for lo, hi in bounds]
     k_max = max((int(cap.max()) for cap in caps), default=0)

@@ -12,9 +12,9 @@ distribution of the next symbol given the observed prefix:
   cursor runs it one symbol at a time and is the exact reference.
   ``Oracle.conditionals`` runs it as a blocked scan over blocks of 64
   positions for hidden chains of up to ``_FILTER_MAX_STATES`` (32) states,
-  and through a cursor above that.  The scan reorders the arithmetic
-  across blocks, so its rows are within 1e-13 (max abs) of the cursor's,
-  not equal to them.
+  scaling each block's transfer matrix by one number per step, and through
+  a cursor above that.  The scan reorders the arithmetic across blocks, so
+  its rows are within 1e-13 (max abs) of the cursor's, not equal to them.
 
 Each family owns its draw, block law, cursor and chunked conditionals, and
 computes the stationary laws they need once per spec; :func:`generate`,
@@ -69,7 +69,7 @@ _SCAN_BLOCK = 32  # uniforms per block of _walk's blocked scan
 _SCAN_MAX_WORK = 132  # measured: above this S * (row length + 1), _walk's loop beats its scan
 _FILTER_BLOCK = 64  # positions per block of the HMM oracle's blocked filter
 _FILTER_SEGMENT = 1 << 14  # positions the blocked filter holds at once; a multiple of _FILTER_BLOCK
-_FILTER_MAX_STATES = 32  # measured: above this many hidden states the cursor beats the blocked filter
+_FILTER_MAX_STATES = 32  # measured: the blocked filter wins up to about 40 hidden states; 32 keeps a margin
 _FILTER_TINY = 1e-200  # below this carried mass a block is walked position by position
 
 
@@ -78,28 +78,30 @@ def block_space_fits(size: int, length: int) -> bool:
     return size ** min(length, MAX_BLOCKS.bit_length()) <= MAX_BLOCKS
 
 
+def _check_law(law, width: int, what: str) -> tuple:
+    """Validate a probability vector of ``width`` entries given as a sequence."""
+    law = tuple(law)
+    if len(law) != width:
+        raise ValueError(f"{what} must have {width} entries, got {len(law)}")
+    for j, v in enumerate(law):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"{what}[{j}] must be a number, got {v!r}")
+        if not math.isfinite(v):
+            raise ValueError(f"{what}[{j}] must be finite, got {v!r}")
+        if v < 0:
+            raise ValueError(f"{what}[{j}] is negative")
+    s = math.fsum(law)
+    if abs(s - 1.0) > _ROW_TOL:
+        raise ValueError(f"{what} sums to {s!r}, expected 1 within {_ROW_TOL}")
+    return tuple(float(v) for v in law)
+
+
 def _check_rows(rows, n_rows: int, width: int, what: str) -> tuple:
     """Validate an n_rows x width stochastic matrix given as nested sequences."""
     rows = tuple(rows)
     if len(rows) != n_rows:
         raise ValueError(f"{what} must have {n_rows} rows, got {len(rows)}")
-    out = []
-    for i, row in enumerate(rows):
-        row = tuple(row)
-        if len(row) != width:
-            raise ValueError(f"{what}[{i}] must have {width} entries, got {len(row)}")
-        for j, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"{what}[{i}][{j}] must be a number, got {v!r}")
-            if not math.isfinite(v):
-                raise ValueError(f"{what}[{i}][{j}] must be finite, got {v!r}")
-            if v < 0:
-                raise ValueError(f"{what}[{i}][{j}] is negative")
-        s = math.fsum(row)
-        if abs(s - 1.0) > _ROW_TOL:
-            raise ValueError(f"{what}[{i}] sums to {s!r}, expected 1 within {_ROW_TOL}")
-        out.append(tuple(float(v) for v in row))
-    return tuple(out)
+    return tuple(_check_law(row, width, f"{what}[{i}]") for i, row in enumerate(rows))
 
 
 def _successors(P: np.ndarray) -> list[list[int]]:
@@ -153,8 +155,7 @@ class IIDProcess:
     probs: tuple
 
     def __post_init__(self):
-        rows = _check_rows([self.probs], 1, self.alphabet.size, "probs")
-        object.__setattr__(self, "probs", rows[0])
+        object.__setattr__(self, "probs", _check_law(self.probs, self.alphabet.size, "probs"))
 
     def _draw(self, rng: np.random.Generator, n_sym: int) -> bytearray:
         cdf = _cdf(self.probs)[:-1]
@@ -174,7 +175,7 @@ class IIDProcess:
     def _cursor(self) -> _IIDCursor:
         return _IIDCursor(self)
 
-    def _conditionals(self, seq: np.ndarray, chunk: int, cursor) -> Iterator[np.ndarray]:
+    def _conditionals(self, seq: np.ndarray, chunk: int) -> Iterator[np.ndarray]:
         """Every row is the law itself."""
         size = self.alphabet.size
         total = len(seq)
@@ -270,18 +271,14 @@ class MarkovProcess:
     def _cursor(self) -> _MarkovCursor:
         return _MarkovCursor(self)
 
-    def _conditionals(self, seq: np.ndarray, chunk: int, cursor) -> Iterator[np.ndarray]:
+    def _conditionals(self, seq: np.ndarray, chunk: int) -> Iterator[np.ndarray]:
         """Rows gathered by the code of the last ``order`` symbols, with the
         same floats a cursor returns; the first ``order - 1`` rows, whose
-        prefixes are shorter than the order, come from walking ``cursor()``."""
+        prefixes are shorter than the order, come from walking a cursor."""
         size = self.alphabet.size
         total = len(seq)
         k = self.order
-        head = []
-        walk = cursor()
-        for x in seq[: k - 1].tolist():
-            walk.observe(x)
-            head.append(walk.conditional())
+        head = _cursor_rows(self._cursor(), seq[: k - 1], size)
         table = np.array(self.rows)
         for lo in range(0, total, chunk):
             hi = min(lo + chunk, total)
@@ -291,7 +288,7 @@ class MarkovProcess:
                 code = code * size + seq[start - k + 1 + i : hi - k + 1 + i]
             out = table[code]
             if start > lo:
-                out = np.concatenate([np.array(head[lo:start]).reshape(-1, size), out])
+                out = np.concatenate([head[lo:start], out])
             yield out
 
 
@@ -348,23 +345,16 @@ class HiddenMarkovProcess:
     def _cursor(self) -> _HMMCursor:
         return _HMMCursor(self)
 
-    def _conditionals(self, seq: np.ndarray, chunk: int, cursor) -> Iterator[np.ndarray]:
-        """Rows from the blocked filter, or from one ``cursor()`` carried
-        across chunks when the hidden chain has more than
-        ``_FILTER_MAX_STATES`` states."""
+    def _conditionals(self, seq: np.ndarray, chunk: int) -> Iterator[np.ndarray]:
+        """Rows from the blocked filter, or from one cursor carried across
+        chunks when the hidden chain has more than ``_FILTER_MAX_STATES``
+        states."""
         if len(self.transition) <= _FILTER_MAX_STATES:
             yield from _rechunk(self._filtered(seq), chunk)
             return
-        size = self.alphabet.size
-        walk = cursor()
-        observe, conditional = walk.observe, walk.conditional
+        walk = self._cursor()
         for lo in range(0, len(seq), chunk):
-            symbols = seq[lo : lo + chunk].tolist()
-            rows = np.empty((len(symbols), size))
-            for i, x in enumerate(symbols):
-                observe(x)
-                rows[i] = conditional()
-            yield rows
+            yield _cursor_rows(walk, seq[lo : lo + chunk], self.alphabet.size)
 
     def _filtered(self, seq: np.ndarray) -> Iterator[np.ndarray]:
         """The forward filter as a blocked scan, one segment of
@@ -375,13 +365,14 @@ class HiddenMarkovProcess:
         of ``_FILTER_BLOCK`` positions are fixed by absolute position.  Per
         segment: (1) every whole block's transfer product
         ``diag(E[:, x_0]) A diag(E[:, x_1]) ... A diag(E[:, x_last])`` is
-        formed for all blocks at once, each row renormalised at every step
-        and at the end weighted by its mass relative to the block's largest
-        row, with the masses summed as logs; (2) ``pred`` is carried across the
-        block starts in Python; (3) :meth:`_fill` runs the cursor's own
-        update from every block start at once.  A block whose carried mass
-        falls below ``_FILTER_TINY`` (an impossible history, or weights that
-        underflowed) is walked by :meth:`_fill` instead."""
+        formed for all blocks at once, each matrix divided by its sum after
+        every step: one scale per step, as in the scaled forward algorithm,
+        so the rows keep their relative masses and the product cannot
+        underflow; (2) ``pred`` is carried across the block starts in
+        Python; (3) :meth:`_fill` runs the cursor's own update from every
+        block start at once.  A block whose carried mass falls below
+        ``_FILTER_TINY`` (an impossible history, or rows that underflowed
+        beside heavier ones) is walked by :meth:`_fill` instead."""
         A = np.array(self.transition)
         E = np.array(self.emission)
         emit = E.T.copy()  # emit[x] = E[:, x]
@@ -395,16 +386,11 @@ class HiddenMarkovProcess:
             xs = np.zeros(-(-n // L) * L, dtype=np.intp)
             xs[:n] = x
             xs = xs.reshape(-1, L)
-            transfer = np.tile(np.eye(n_states), (full, 1, 1))
-            mass = np.empty((L, full, n_states))
-            mass[0] = emit[xs[:full, 0]]
+            transfer = np.eye(n_states) * emit[xs[:full, 0]][:, :, None]
             for j in range(1, L):
                 transfer = (transfer @ A) * emit[xs[:full, j]][:, None, :]
-                total = transfer.sum(axis=2, out=mass[j])[:, :, None]
+                total = transfer.sum(axis=(1, 2))[:, None, None]
                 np.divide(transfer, total, out=transfer, where=total > 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_mass = np.log(mass).sum(axis=0)
-                transfer *= np.exp(log_mass - log_mass.max(axis=1, keepdims=True))[:, :, None]
             starts = [pred]
             for b in range(full):
                 v = pred @ transfer[b]
@@ -497,6 +483,16 @@ def _cdf(rows) -> np.ndarray:
     cdf = np.cumsum(rows, axis=-1)
     cdf[..., -1] = 1.0
     return cdf
+
+
+def _cursor_rows(cursor, symbols: np.ndarray, size: int) -> np.ndarray:
+    """The conditional ``cursor`` returns after observing each of ``symbols`` in turn, one row each."""
+    observe, conditional = cursor.observe, cursor.conditional
+    rows = np.empty((len(symbols), size))
+    for i, x in enumerate(symbols.tolist()):
+        observe(x)
+        rows[i] = conditional()
+    return rows
 
 
 def _rechunk(parts: Iterable[np.ndarray], chunk: int) -> Iterator[np.ndarray]:
@@ -626,13 +622,15 @@ class Oracle:
         absolute position, so they do not depend on ``chunk``; they are
         within 1e-13 (max abs) of a cursor's, and equal to them above
         ``_FILTER_MAX_STATES`` hidden states, where a cursor computes them.
-        Wherever the family needs a cursor, it comes from :meth:`cursor`.
-        A history of probability zero, or a symbol outside the alphabet,
-        raises ``ValueError``; the symbols are checked before any row."""
+        A ``chunk`` below 1, a history of probability zero, or a symbol
+        outside the alphabet raises ``ValueError``; the chunk and the
+        symbols are checked before any row."""
+        if chunk < 1:
+            raise ValueError(f"chunk must be >= 1, got {chunk}")
         size = self.spec.alphabet.size
         if len(seq) and not 0 <= seq.min() <= seq.max() < size:
             raise ValueError(f"symbol index {seq[(seq < 0) | (seq >= size)][0]} outside alphabet")
-        return self.spec._conditionals(seq, chunk, self.cursor)
+        return self.spec._conditionals(seq, chunk)
 
 
 class _IIDCursor:

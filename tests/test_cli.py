@@ -140,6 +140,21 @@ class TestSimulate:
         assert captured.out == ""
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "alphabet, probs, message",
+        [
+            ("01", [1.5, -0.5], "probs[1] is negative"),
+            ("01", [0.5, 0.6], "probs sums to 1.1"),
+            ("abc", [0.5, 0.5], "probs must have 3 entries"),
+        ],
+    )
+    def test_iid_law_error_names_the_written_entry(self, tmp_path, capsys, alphabet, probs, message):
+        doc = json.loads(json.dumps(MARKOV_DOC))
+        doc["process"] = {"kind": "iid", "alphabet": alphabet, "probs": probs}
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: process: {message}")
+
     def test_overflowing_number_rejected_with_field_path(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(MARKOV_DOC).replace('"replicates": 3', '"replicates": 3, "epsilons": [1e999]'))
@@ -336,6 +351,18 @@ class TestLemmas:
         assert main(["lemmas", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert "hypotheses violated" in out and "J(n)/n" in out
+
+    @pytest.mark.parametrize("coeff", [1e19, 1e308])
+    def test_huge_linear_J_reports_violation(self, tmp_path, capsys, coeff):
+        # J(n) = ceil(coeff * n) is past the int64 range (1e308 * n even past
+        # the floats) and saturates at SCHEDULE_CAP, which is still reported
+        doc = self.lemmas_doc()
+        doc["divergence"]["schedules"]["J"] = {"kind": "linear", "coeff": coeff}
+        cfg = write_config(tmp_path, doc)
+        assert main(["lemmas", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert "runtime error" not in captured.out + captured.err
+        assert "hypotheses violated" in captured.out
 
     def test_manifest_records_checks(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.lemmas_doc())

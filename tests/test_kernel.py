@@ -84,6 +84,13 @@ def test_histogram_can_be_skipped():
     assert part.hist is None and part.kappa.shape == (500,)
 
 
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_chunk_below_one_rejected(chunk):
+    data = np.zeros(50, dtype=np.uint8)
+    with pytest.raises(ValueError, match="chunk"):
+        list(kernel.replay(data, 2, Schedules.default(2), chunk=chunk))
+
+
 def test_chunk_rows_shrink_for_large_alphabets(monkeypatch):
     monkeypatch.setattr(kernel, "CHUNK", 1 << 14)
     assert kernel.chunk_rows(2) == kernel.chunk_rows(4) == 1 << 14
@@ -99,10 +106,12 @@ SPECS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SPECS))
+@pytest.mark.parametrize("name", sorted(SPECS) + ["hmm-cursor"])
 @pytest.mark.parametrize("chunk", [1, 2, 7, 1000])
-def test_chunked_conditionals_equal_cursor(name, chunk):
-    spec = SPECS[name]
+def test_chunked_conditionals_equal_cursor(monkeypatch, name, chunk):
+    if name == "hmm-cursor":  # every hidden chain takes one cursor, carried across chunks
+        monkeypatch.setattr(processes, "_FILTER_MAX_STATES", 0)
+    spec = SPECS[name.split("-")[0]]
     seq = generate(spec, 5, 300).seq.as_array()
     cursor = Oracle(spec).cursor()
     want = []

@@ -479,6 +479,12 @@ class TestOracle:
                 with pytest.raises(ValueError, match="outside alphabet"):
                     Oracle(spec).conditionals(np.array(history), 7)  # checked before any row is made
 
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_below_one_rejected(self, chunk):
+        for spec in (IIDProcess(BINARY, (0.3, 0.7)), FLIP, ORDER2, HMM2):
+            with pytest.raises(ValueError, match="chunk"):
+                Oracle(spec).conditionals(np.array([0, 1, 1]), chunk)  # checked before any row is made
+
     @pytest.mark.parametrize("spec", [ORDER2, HMM2], ids=["markov", "hmm"])
     def test_stationary_law_is_computed_once_per_spec(self, monkeypatch, spec):
         spec = dataclasses.replace(spec)  # an equal spec that has computed nothing yet
@@ -526,7 +532,7 @@ class TestBlockedFilter:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        states=st.integers(1, 8),
+        states=st.integers(1, processes._FILTER_MAX_STATES),
         size=st.integers(2, 4),
         memory=st.sampled_from([0.0, 0.99, 0.999]),
         horizon=st.integers(1, 700),
@@ -548,7 +554,7 @@ class TestBlockedFilter:
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        states=st.integers(1, 8),
+        states=st.integers(1, processes._FILTER_MAX_STATES),
         size=st.integers(2, 4),
         memory=st.sampled_from([0.0, 0.999]),
         horizon=st.integers(1, 700),
@@ -599,6 +605,25 @@ class TestBlockedFilter:
         )
         rows = filtered_rows(spec, seq, 7)
         assert walked == [1, 5]  # block 1 alone, then the whole sequence's 5 blocks
+        cursor = Oracle(spec).cursor()
+        for x, row in zip(seq.tolist(), rows):
+            cursor.observe(x)
+            assert np.abs(np.array(cursor.conditional()) - row).max() <= 1e-13
+
+    def test_long_run_of_rare_symbols_does_not_underflow(self, monkeypatch):
+        # every hidden state emits b with probability at most 1e-6, and the
+        # run of b's at 30..199 fills blocks 1 and 2 (positions 64..191):
+        # their unscaled transfer products would fall below 1e-380
+        spec = HiddenMarkovProcess(Alphabet("ab"), ((0.9, 0.1), (0.3, 0.7)), ((1 - 1e-6, 1e-6), (1 - 1e-7, 1e-7)))
+        seq = generate(spec, 2, 300).seq.as_array().copy()
+        seq[30:200] = 1
+        walked = []
+        fill = processes.HiddenMarkovProcess._fill
+        monkeypatch.setattr(
+            processes.HiddenMarkovProcess, "_fill", staticmethod(lambda *args: walked.append(len(args[0])) or fill(*args))
+        )
+        rows = filtered_rows(spec, seq, 7)
+        assert walked == [5]  # no block was walked alone: the scan kept its mass
         cursor = Oracle(spec).cursor()
         for x, row in zip(seq.tolist(), rows):
             cursor.observe(x)

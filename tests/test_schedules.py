@@ -139,6 +139,8 @@ SCHEDULES = {
     "sqrt J": schedule_J,
     "constant": ConstantSchedule(5),
     "linear": LinearJ(0.37),
+    "linear 1e19": LinearJ(1e19),  # past int64 from n = 1: saturates at SCHEDULE_CAP
+    "linear 1e308": LinearJ(1e308),  # the float product itself overflows to inf
     "callable": lambda n: n % 7 + 1,
 }
 

@@ -162,6 +162,8 @@ def _read_symbols(path: str, alphabet, lines_mode: bool) -> list:
                     raise ConfigError(f"line {lineno}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read sequence file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"sequence file is not UTF-8: {exc}") from exc
     if not out:
         raise ConfigError("sequence file contains no symbols")
     return out

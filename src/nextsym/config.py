@@ -40,6 +40,8 @@ def load_document(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -100,9 +102,18 @@ def build_alphabet(value, path: str = "process.alphabet") -> Alphabet:
     else:
         raise ConfigError(f"{path} must be a string, list of tokens, or integer size")
     try:
-        return Alphabet(symbols)
+        alphabet = Alphabet(symbols)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    printed = {}  # the CSV header and the outputs name each symbol by its str()
+    for symbol in alphabet.symbols:
+        text = str(symbol)
+        if text in printed:
+            raise ConfigError(
+                f"{path} must be distinct when printed: {printed[text]!r} and {symbol!r} both print as {text!r}"
+            )
+        printed[text] = symbol
+    return alphabet
 
 
 def build_process(doc: dict) -> ProcessSpec:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .sequences import Alphabet, SymbolSequence
 
@@ -314,7 +313,8 @@ class DistributionEstimate:
 
 
 def recurrence_times(seq: SymbolSequence, n: int, k: int, count: int | None = None) -> list[int]:
-    """Backshifts t at which the length-k suffix of X_0..X_n recurs, ascending.
+    """Backshifts t at which the length-k suffix of X_0..X_n recurs, ascending:
+    n minus the match ends of :func:`_match_ends`, latest end first.
 
     Returns at most ``count`` entries (all of them when count is None); the
     list is shorter when fewer in-segment occurrences exist.
@@ -324,9 +324,7 @@ def recurrence_times(seq: SymbolSequence, n: int, k: int, count: int | None = No
         raise ValueError(f"k={k} outside [1, n+1]={n + 1}")
     if count is not None and count < 1:
         raise ValueError("count must be >= 1")
-    arr = seq.as_array()
-    starts = _match_starts(arr, n, k)
-    times = (n - k + 1 - starts)[::-1]
+    times = (n - _match_ends(seq.as_array(), n, k))[::-1]
     if count is not None:
         times = times[:count]
     return times.tolist()
@@ -334,20 +332,21 @@ def recurrence_times(seq: SymbolSequence, n: int, k: int, count: int | None = No
 
 def probe(seq: SymbolSequence, n: int, schedules: Schedules):
     """(context_len, matches, successor histogram) at n, or None when
-    abstaining (n = 0, or no block met the threshold max(J(n), 1)); the
-    scanning counterpart of :meth:`~nextsym.streaming.StreamingEstimator.probe`.
-    Scans each length from K(n) down once and keeps the chosen one's matches."""
+    abstaining (n = 0, K(n) < 1, or no block met the threshold max(J(n), 1));
+    the scanning counterpart of :meth:`~nextsym.streaming.StreamingEstimator.probe`.
+    Walks k up from 1, narrowing the match ends one symbol further back,
+    while k < min(K(n), n + 1) and the narrowed count still meets the threshold."""
     _check_position(seq, n)
-    if n == 0:
+    if n == 0 or (cap := min(schedules.K(n), n + 1)) < 1:
         return None
-    arr = seq.as_array()
     need = max(schedules.J(n), 1)  # a block must have occurred to be matched
-    for k in range(min(schedules.K(n), n + 1), 0, -1):
-        starts = _match_starts(arr, n, k)
-        if len(starts) >= need:
-            hist = np.bincount(arr[starts + k], minlength=seq.alphabet.size).tolist()
-            return k, len(starts), hist
-    return None
+    arr = seq.as_array()
+    ends, k = _match_ends(arr, n, 1), 1
+    if len(ends) < need:
+        return None
+    while k < cap and len(longer := _narrow(arr, n, ends, k)) >= need:
+        ends, k = longer, k + 1
+    return k, len(ends), np.bincount(arr[ends + 1], minlength=seq.alphabet.size).tolist()
 
 
 def estimate(seq: SymbolSequence, n: int, payoff: PayoffFunction, schedules: Schedules) -> EstimateResult:
@@ -386,15 +385,19 @@ def payoff_means(hist: np.ndarray, values: Sequence[float], matches: np.ndarray)
     return np.where(matches > 0, mean, 0.0)
 
 
-def _match_starts(arr: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Start positions s <= n-k of windows equal to the suffix X_{n-k+1..n}."""
-    if k == 1:
-        return np.nonzero(arr[:n] == arr[n])[0]
-    if n + 1 - k <= 0:
-        return np.empty(0, dtype=np.intp)
-    windows = sliding_window_view(arr[: n + 1], k)
-    suffix = arr[n - k + 1 : n + 1]
-    return np.nonzero((windows[:-1] == suffix).all(axis=1))[0]
+def _match_ends(arr: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Ends e < n, ascending, of the earlier windows equal to the suffix
+    X_{n-k+1..n}: the ends matching X_n, narrowed one symbol back at a time."""
+    ends = np.nonzero(arr[:n] == arr[n])[0]
+    for back in range(1, k):
+        ends = _narrow(arr, n, ends, back)
+    return ends
+
+
+def _narrow(arr: np.ndarray, n: int, ends: np.ndarray, back: int) -> np.ndarray:
+    """The ascending ends e >= back with X_{e-back} == X_{n-back}."""
+    ends = ends[np.searchsorted(ends, back) :]
+    return ends[arr[ends - back] == arr[n - back]]
 
 
 def _check_position(seq: SymbolSequence, n: int) -> None:

@@ -26,12 +26,12 @@ from __future__ import annotations
 import math
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernel
 from .estimator import SCHEDULE_CAP, PayoffFunction, Schedules, payoff_means, recurrence_times
@@ -241,11 +241,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if workers == 1:
         per_rep = [_run_replicate(cfg, r) for r in range(cfg.replicates)]
     else:
-        per_rep = [None] * cfg.replicates
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_replicate, cfg, r): r for r in range(cfg.replicates)}
-            for fut in as_completed(futures):
-                per_rep[futures[fut]] = fut.result()
+            per_rep = list(pool.map(partial(_run_replicate, cfg), range(cfg.replicates)))
     rows = tuple(row for rep_rows in per_rep for row in rep_rows)
     by_n: dict = {n: [] for n in cfg.eval_grid}
     for row in rows:
@@ -516,16 +513,14 @@ def check_return_time_bound(
         raise ValueError("block symbols outside alphabet")
     if window < 1 or threshold < 1 or replicates < 1:
         raise ValueError("need window >= 1, threshold >= 1, replicates >= 1")
-    pattern = np.array(block, dtype=np.uint8)
     events = 0
     horizon = window + k - 1
     for r in range(replicates):
         traj = generate(spec, derive_seed(base_seed, r), horizon)
         arr = traj.seq.as_array()
-        if k == 1:
-            mask = arr[:window] == pattern[0]
-        else:
-            mask = (sliding_window_view(arr[: window + k - 1], k) == pattern).all(axis=1)
+        mask = arr[:window] == block[0]  # windows starting at 0..window-1 that equal the block
+        for i in range(1, k):
+            mask &= arr[i : window + i] == block[i]
         if mask[0] and int(mask.sum()) < threshold:
             events += 1
     frequency = events / replicates

@@ -8,7 +8,7 @@ import pytest
 
 from nextsym import kernel
 from nextsym.cli import _fmt, main
-from nextsym.estimator import Schedules
+from nextsym.estimator import LogK, Schedules, SqrtJ
 from nextsym.sequences import Alphabet
 from nextsym.verify import verify_equivalence
 from nextsym.streaming import StreamingEstimator
@@ -308,6 +308,26 @@ class TestVerify:
         assert ce["route"] == "kernel" and ce["field"] == "histogram" and ce["case"] == 0
         assert ce["kernel"][0] == ce["scanning"][0] + 1
 
+    def test_break_at_long_contexts_needs_deep_schedules(self):
+        class DeepBug(StreamingEstimator):
+            def probe(self):
+                # counts one match too many, but only for contexts of length 2 and up
+                hit = super().probe()
+                if hit is not None and hit[0] >= 2:
+                    return hit[0], hit[1] + 1, hit[2]
+                return hit
+
+        def deep(size):
+            return Schedules(K=LogK(size, 0.5), J=SqrtJ())
+
+        report = verify_equivalence(cases=20, max_n=300, seed=5, schedules_for=deep, estimator_factory=DeepBug)
+        assert not report.ok
+        ce = report.counterexample
+        assert ce["route"] == "streaming" and ce["field"] == "matches"
+        assert ce["streaming"] == ce["scanning"] + 1
+        # the default schedules never reach K(n) = 2 at max_n 2000, so the default suite misses it
+        assert verify_equivalence(estimator_factory=DeepBug).ok
+
     def test_trivial_max_n(self):
         report = verify_equivalence(cases=3, max_n=1, seed=1)
         assert report.ok and report.prefixes_checked == 3
@@ -403,6 +423,7 @@ class TestLemmas:
         ("experiment.eval_grid[0]", 513),  # above the horizon
         ("experiment.epsilons[1]", -1),
         ("experiment.epsilons[0]", 2),  # above 1 with an indicator payoff
+        ("process.alphabet", [0, "0"]),  # the CSV header would name both p_0
         ("process.order", 0),
         ("process.order", 17),  # 2^17 contexts
         ("schedules.K.base", 1),
@@ -434,6 +455,20 @@ def test_out_of_range_input_exits_two_naming_its_field(tmp_path, capsys, field, 
     captured = capsys.readouterr()
     assert captured.out == ""  # rejected before any check ran
     assert captured.err.startswith(f"error: {field} must be")
+
+
+@pytest.mark.parametrize("command", ["simulate", "lemmas", "estimate"])
+def test_input_not_utf8_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "input"
+    if command == "estimate":
+        path.write_bytes(b"0101\xff")
+        argv, message = [str(path)], "sequence file is not UTF-8"
+    else:
+        doc = MARKOV_DOC if command == "simulate" else TestLemmas().lemmas_doc()
+        path.write_bytes(json.dumps(doc).encode() + b"\xff")
+        argv, message = ["--config", str(path), "--out", str(tmp_path / "out")], "config is not UTF-8"
+    assert main([command, *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_runtime_failure_exits_one(tmp_path, capsys):

@@ -146,14 +146,12 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("cpus, pool_size", [(3, 3), (1, None), (None, None)])
     def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, cpus, pool_size):
-        from concurrent.futures import Future
-
         from nextsym import harness
 
         sizes = []
 
         class FakePool:
-            """Runs every task at submit, in the calling process."""
+            """Runs every task in the calling process, in order."""
 
             def __init__(self, max_workers):
                 sizes.append(max_workers)
@@ -164,10 +162,8 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                fut = Future()
-                fut.set_result(fn(*args))
-                return fut
+            def map(self, fn, iterable):
+                return map(fn, iterable)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
@@ -282,6 +278,17 @@ class TestReturnTimeBound:
     def test_pair_block(self):
         report = check_return_time_bound(FLIP, window=60, threshold=5, replicates=500, block=(1, 1))
         assert report.status == "pass"
+
+    @pytest.mark.parametrize("block, threshold", [((1,), 14), ((1, 0), 5), ((0, 1, 1), 4), ((0, 1, 0, 1), 2)])
+    def test_events_match_a_brute_recount(self, block, threshold):
+        window, replicates, k = 40, 300, len(block)
+        report = check_return_time_bound(FLIP, window, threshold, replicates, block, base_seed=5)
+        events = 0
+        for r in range(replicates):
+            x = tuple(generate(FLIP, derive_seed(5, r), window + k - 1).seq.as_array().tolist())
+            starts = [s for s in range(window) if x[s : s + k] == block]
+            events += starts[:1] == [0] and len(starts) < threshold
+        assert report.events == events > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

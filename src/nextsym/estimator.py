@@ -3,9 +3,12 @@
 Given the data segment (X_0, ..., X_n), the estimator looks for the longest
 recent suffix block that has recurred often enough earlier in the segment and
 averages the payoff of the symbols that followed those earlier occurrences.
-Everything here evaluates from scratch on a sequence by direct scanning; the
-incremental realization lives in :mod:`nextsym.streaming` and must agree with
-these functions bit for bit.
+Everything here evaluates from scratch on a sequence by direct scanning, in
+one block scan (``_scan``) that takes any set of positions at once:
+:func:`probe` and :func:`recurrence_times` are one-row calls of it, and
+:func:`nextsym.verify.verify_equivalence` calls it once per row block of
+prefixes.  The incremental realization lives in :mod:`nextsym.streaming` and
+must agree with the scan bit for bit.
 
 Conventions: an occurrence of the length-k suffix "at backshift t" means
 X_{n-k+1-t..n-t} equals X_{n-k+1..n}; only backshifts with n-k+1-t >= 0 (the
@@ -314,7 +317,9 @@ class DistributionEstimate:
 
 def recurrence_times(seq: SymbolSequence, n: int, k: int, count: int | None = None) -> list[int]:
     """Backshifts t at which the length-k suffix of X_0..X_n recurs, ascending:
-    n minus the match ends of :func:`_match_ends`, latest end first.
+    n minus the match ends of a one-row :func:`_scan` capped at k with
+    threshold 1 and no histogram, latest end first; none when the scan
+    stops short of k.
 
     Returns at most ``count`` entries (all of them when count is None); the
     list is shorter when fewer in-segment occurrences exist.
@@ -324,29 +329,21 @@ def recurrence_times(seq: SymbolSequence, n: int, k: int, count: int | None = No
         raise ValueError(f"k={k} outside [1, n+1]={n + 1}")
     if count is not None and count < 1:
         raise ValueError("count must be >= 1")
-    times = (n - _match_ends(seq.as_array(), n, k))[::-1]
-    if count is not None:
-        times = times[:count]
-    return times.tolist()
+    kappa, _, _, ((_, cols, mask),) = _scan(seq.as_array(), np.array([n]), np.array([k]), np.array([1]), 0)
+    return (n - cols[mask[0]])[::-1][:count].tolist() if kappa[0] == k else []
 
 
 def probe(seq: SymbolSequence, n: int, schedules: Schedules):
     """(context_len, matches, successor histogram) at n, or None when
     abstaining (n = 0, K(n) < 1, or no block met the threshold max(J(n), 1));
-    the scanning counterpart of :meth:`~nextsym.streaming.StreamingEstimator.probe`.
-    Walks k up from 1, narrowing the match ends one symbol further back,
-    while k < min(K(n), n + 1) and the narrowed count still meets the threshold."""
+    the scanning counterpart of :meth:`~nextsym.streaming.StreamingEstimator.probe`,
+    as a one-row call of :func:`_scan`."""
     _check_position(seq, n)
     if n == 0 or (cap := min(schedules.K(n), n + 1)) < 1:
         return None
-    need = max(schedules.J(n), 1)  # a block must have occurred to be matched
-    arr = seq.as_array()
-    ends, k = _match_ends(arr, n, 1), 1
-    if len(ends) < need:
-        return None
-    while k < cap and len(longer := _narrow(arr, n, ends, k)) >= need:
-        ends, k = longer, k + 1
-    return k, len(ends), np.bincount(arr[ends + 1], minlength=seq.alphabet.size).tolist()
+    need = min(max(schedules.J(n), 1), n + 1)  # no count exceeds n, so the clamp decides as J(n) does
+    kappa, matches, hist, _ = _scan(seq.as_array(), np.array([n]), np.array([cap]), np.array([need]), seq.alphabet.size)
+    return (int(kappa[0]), int(matches[0]), hist[0].tolist()) if kappa[0] else None
 
 
 def estimate(seq: SymbolSequence, n: int, payoff: PayoffFunction, schedules: Schedules) -> EstimateResult:
@@ -385,19 +382,50 @@ def payoff_means(hist: np.ndarray, values: Sequence[float], matches: np.ndarray)
     return np.where(matches > 0, mean, 0.0)
 
 
-def _match_ends(arr: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Ends e < n, ascending, of the earlier windows equal to the suffix
-    X_{n-k+1..n}: the ends matching X_n, narrowed one symbol back at a time."""
-    ends = np.nonzero(arr[:n] == arr[n])[0]
-    for back in range(1, k):
-        ends = _narrow(arr, n, ends, back)
-    return ends
+def _scan(arr: np.ndarray, ns: np.ndarray, caps: np.ndarray, needs: np.ndarray, size: int) -> tuple:
+    """The scanning evaluator at the ascending positions ``ns``, all at once.
 
+    Row r starts from the ends e < n = ns[r] with X_e == X_n and walks k up
+    from 1, keeping the ends e >= k with X_{e-k} == X_{n-k}, while
+    k < caps[r] and the narrowed count still meets needs[r] >= 1; it abstains
+    (kappa 0) when caps[r] < 1 or fewer than needs[r] ends match X_n.  Rows
+    are grouped by X_n, so a group's columns are that symbol's earlier
+    positions, and after each length the columns no row matches are dropped:
+    one row does the work of one narrowing per length.  Array methods and ufunc
+    reductions replace module-level wrappers, whose overhead rules a one-row scan.
 
-def _narrow(arr: np.ndarray, n: int, ends: np.ndarray, back: int) -> np.ndarray:
-    """The ascending ends e >= back with X_{e-back} == X_{n-back}."""
-    ends = ends[np.searchsorted(ends, back) :]
-    return ends[arr[ends - back] == arr[n - back]]
+    Returns ``(kappa, matches, hist, ends)``.  ``hist`` has ``size`` columns,
+    none for a caller that needs only the ends.  ``ends`` holds one
+    ``(rows, cols, mask)`` triple per group: the ends of the earlier windows
+    equal to the length-kappa suffix at row ``rows[i]`` are
+    ``cols[mask[i]]``, ascending (none where the row abstains).
+    """
+    kappa, matches, hist = np.zeros(len(ns), np.int64), np.zeros(len(ns), np.int64), np.zeros((len(ns), size), np.int64)
+    ends = []
+    last = arr[ns]
+    for s in set(last.tolist()):
+        rows = (last == s).nonzero()[0]
+        at, cap, need = ns[rows], caps[rows], needs[rows]
+        cols = (arr[: at[-1]] == s).nonzero()[0]
+        live = (cols.searchsorted(at) >= need) & (cap >= 1)  # length 1 qualifies
+        mask, depth, go, k = cols < (at * live)[:, None], live.astype(np.int64), live & (cap > 1), 1
+        while np.count_nonzero(go):
+            trial = mask & (arr[cols - k] == arr[at - k][:, None])
+            if cols[0] < k:  # X_{e-k} lies before the segment
+                trial &= cols >= k
+            go &= np.add.reduce(trial, 1) >= need
+            if not np.count_nonzero(go):
+                break
+            depth += go
+            np.copyto(mask, trial, where=go[:, None])
+            used = np.logical_or.reduce(mask, 0)
+            cols, mask, k = cols[used], mask.compress(used, axis=1), k + 1
+            go &= cap > k
+        kappa[rows], matches[rows] = depth, np.add.reduce(mask, 1)
+        if size:
+            hist[rows] = mask @ (arr[cols + 1][:, None] == np.arange(size)).astype(float)  # exact below 2^53
+        ends.append((rows, cols, mask))
+    return kappa, matches, hist, ends
 
 
 def _check_position(seq: SymbolSequence, n: int) -> None:

@@ -4,35 +4,47 @@ Every route reduces the data segment at a prefix to one probe: the matched
 context length, its match count and the successor histogram, (0, 0, all-zero)
 when abstaining.  Every finished field (abstained flag, distribution, payoff
 estimate) is built from the probe by one shared finisher in
-:mod:`nextsym.estimator`, so the suite compares probes.  For random sequences
-the streaming index must reproduce the scanning evaluator's probe at every
-prefix.  The whole-sequence replay kernel (:mod:`nextsym.kernel`) is the third
-route: its context lengths, match counts and histograms are compared with the
-scanning probes, one int64 array comparison per field and case.
-Recurrence-time lists are verified in-place at every prefix: each listed
-backshift must actually match the suffix, the list must be strictly
-increasing, and its length must equal the independently computed match
-count, which together pin the list down to the exact set of in-segment
-occurrences.
+:mod:`nextsym.estimator`, so the suite compares probes.
+
+Each random sequence is checked in row blocks of consecutive prefixes, with
+rows times the sequence length at most ``_BLOCK_CELLS``, which bounds the
+block's match masks and keeps memory flat.  The scanning evaluator
+(``estimator._scan``) probes a whole block in one call; the streaming index is
+pushed and probed once per prefix, and its probes are packed into int64
+arrays and compared with the block's.  The match ends the scan returns are
+checked per block: each row lists as many ends as its match count, every end
+lies in [kappa - 1, n - 1], and the window at every end equals the suffix,
+compared one symbol back at a time apart from the narrowing that found it.
+Together these pin each list down to the exact set of in-segment
+occurrences.  The whole-sequence replay kernel (:mod:`nextsym.kernel`) is the
+third route: its context lengths, match counts and histograms are compared
+with the scanning arrays, one array comparison per field and case.
+
+The first failure is reported: the earliest prefix; at one prefix a
+streaming mismatch before a wrong match-end list; and the kernel only once
+its case has passed both.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import kernel
-from .estimator import Schedules, probe, recurrence_times
+from .estimator import Schedules, _scan
 from .seeding import derive_seed
-from .sequences import Alphabet, SymbolSequence
+from .sequences import Alphabet
 from .streaming import StreamingEstimator
 
 __all__ = ["EquivalenceReport", "verify_equivalence"]
 
 _ALPHABET_SIZES = (2, 3, 4)
 _FIELDS = ("context_len", "matches", "histogram")
+_BLOCK_CELLS = 1 << 17  # rows x length per row block: 65 prefixes of a 2,000-symbol case
+_DEFECTS = ("listed backshift does not match the suffix", "entry outside [1, n-k+1]", "expected {} entries, got {}")
 
 
 @dataclass(frozen=True)
@@ -47,7 +59,7 @@ def verify_equivalence(
     cases: int = 200,
     max_n: int = 2000,
     seed: int = 2026,
-    schedules_for: callable = None,
+    schedules_for: Callable[[int], Schedules] | None = None,
     estimator_factory: type = StreamingEstimator,
 ) -> EquivalenceReport:
     """Compare evaluator, index and kernel on random sequences at every prefix.
@@ -66,14 +78,12 @@ def verify_equivalence(
         data = rng.integers(0, size, length).astype(np.uint8)
         alphabet = Alphabet.of_size(size)
         schedules = schedules_for(size) if schedules_for else Schedules.default(size)
-        seq = SymbolSequence(alphabet, data.tobytes())
-        arr = seq.as_array()
         streaming = estimator_factory(alphabet, schedules, horizon=length - 1 if length > 1 else 1)
-        abstain = (0, 0, [0] * size)
 
         def fail(n: int, field: str, expected, got, route: str = "streaming") -> EquivalenceReport:
-            head = data[: n + 1]
-            shown = head.tolist() if n < 40 else head[:20].tolist() + ["..."]
+            """The report of the first failure, at prefix n; from n = 40 on the
+            prefix shows its first 20 and last 20 symbols, through X_n."""
+            head = data[: n + 1].tolist()
             return EquivalenceReport(
                 ok=False,
                 cases=cases,
@@ -86,57 +96,58 @@ def verify_equivalence(
                     "field": field,
                     "scanning": expected,
                     route: got,
-                    "prefix": shown,
+                    "prefix": head if n < 40 else head[:20] + ["..."] + head[-20:],
                 },
             )
 
         (part,) = kernel.replay(data, size, schedules, chunk=length)
-        # the scanning probes, packed for the kernel route's comparison
-        want_kappa, want_matches, want_hist = array("q"), array("q"), array("q")
-        for n in range(length):
-            streaming.push(int(data[n]))
-            want = probe(seq, n, schedules) or abstain
-            got = streaming.probe() or abstain
-            if want != got:
-                for field, w, g in zip(_FIELDS, want, got):
-                    if w != g:
-                        return fail(n, field, w, g)
-            k, matches, hist = want
-            want_kappa.append(k)
-            want_matches.append(matches)
-            want_hist.extend(hist)
-            if k > 0:
-                times = recurrence_times(seq, n, k)
-                problem = _times_defect(arr, n, k, times, matches)
-                if problem:
-                    return fail(n, "recurrence_times", problem, times)
-            prefixes += 1
-        want = (
-            np.frombuffer(want_kappa, np.int64),
-            np.frombuffer(want_matches, np.int64),
-            np.frombuffer(want_hist, np.int64).reshape(length, size),
-        )
-        for field, w, g in zip(_FIELDS, want, (part.kappa, part.matches, part.hist)):
+        ns, caps, needs = np.arange(length), kernel._caps(schedules, 0, length), kernel._thresholds(schedules, 0, length)
+        scanned = np.zeros(length, np.int64), np.zeros(length, np.int64), np.zeros((length, size), np.int64)
+        step = max(1, _BLOCK_CELLS // length)
+        for lo in range(0, length, step):
+            block = ns[lo : lo + step]
+            *want, ends = _scan(data, block, caps[block], needs[block], size)
+            got = array("q")
+            for x in data[block].tolist():
+                streaming.push(x)
+                k, matches, hist = streaming.probe() or (0, 0, [0] * size)
+                got.extend([k, matches, *hist])
+            got = np.frombuffer(got, np.int64).reshape(len(block), -1)
+            got = got[:, 0], got[:, 1], got[:, 2:]
+            off = np.array([(w != g).reshape(len(block), -1).any(axis=1) for w, g in zip(want, got)])
+            defects = _list_defects(data, block, *want[:2], ends)
+            bad = np.flatnonzero(off.any(axis=0) | (defects > 0))
+            if len(bad):
+                i = int(bad[0])
+                prefixes += i
+                if off[:, i].any():
+                    f = int(np.argmax(off[:, i]))
+                    return fail(lo + i, _FIELDS[f], want[f][i].tolist(), got[f][i].tolist())
+                rows, cols, mask = next(e for e in ends if i in e[0])
+                times = (lo + i - cols[mask[rows == i][0]])[::-1].tolist()
+                return fail(lo + i, "recurrence_times", _DEFECTS[defects[i] - 1].format(want[1][i], len(times)), times)
+            prefixes += len(block)
+            for whole, w in zip(scanned, want):
+                whole[block] = w
+        for field, w, g in zip(_FIELDS, scanned, (part.kappa, part.matches, part.hist)):
             if not np.array_equal(w, g):
                 n = int(np.flatnonzero((w != g).reshape(length, -1).any(axis=1))[0])
                 return fail(n, field, w[n].tolist(), g[n].tolist(), "kernel")
     return EquivalenceReport(ok=True, cases=cases, prefixes_checked=prefixes, counterexample=None)
 
 
-def _times_defect(arr: np.ndarray, n: int, k: int, times: list, matches: int) -> str | None:
-    """Reason the recurrence-time list is wrong, or None when it is exact."""
-    if len(times) != matches:
-        return f"expected {matches} entries, got {len(times)}"
-    if not times:
-        return None
-    t_arr = np.array(times)
-    if (np.diff(t_arr) <= 0).any():
-        return "entries not strictly increasing"
-    if t_arr[0] < 1 or t_arr[-1] > n - k + 1:
-        return "entry outside [1, n-k+1]"
-    starts = n - k + 1 - t_arr
-    suffix = arr[n - k + 1 : n + 1]
-    for i in range(k):
-        if not (arr[starts + i] == suffix[i]).all():
-            return "listed backshift does not match the suffix"
-    return None
+def _list_defects(arr: np.ndarray, ns: np.ndarray, kappa: np.ndarray, matches: np.ndarray, ends: list) -> np.ndarray:
+    """Per row of a scanned block, 0 when its match ends are exact, else one
+    plus the index in ``_DEFECTS`` of the highest-ranked check it fails.
+    From the top rank down: the ends number ``matches``, each lies in
+    [kappa - 1, n - 1], and each window equals the suffix X_{n-kappa+1..n},
+    compared one symbol back at a time."""
+    code = np.zeros(len(ns), np.int64)
+    for rows, cols, mask in ends:
+        k, at = kappa[rows, None], ns[rows, None]
+        outside = mask & ((cols < k - 1) | (cols >= at))
+        differs = np.zeros_like(mask)
+        for i in range(int(k.max(initial=0))):
+            differs |= mask & (k > i) & (arr.take(cols - i, mode="clip") != arr[at - i])
+        code[rows] = np.max([differs.any(axis=1), outside.any(axis=1) * 2, (mask.sum(axis=1) != matches[rows]) * 3], axis=0)
+    return code

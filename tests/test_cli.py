@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from nextsym import kernel
+from nextsym import kernel, verify
 from nextsym.cli import _fmt, main
 from nextsym.estimator import LogK, Schedules, SqrtJ
 from nextsym.sequences import Alphabet
@@ -288,10 +288,10 @@ class TestVerify:
                 return hit
 
         report = verify_equivalence(cases=5, max_n=40, seed=5, estimator_factory=OffByOne)
-        assert not report.ok
+        assert not report.ok and report.prefixes_checked == 3
         ce = report.counterexample
-        assert ce["field"] == "context_len" and ce["route"] == "streaming"
-        assert isinstance(ce["n"], int) and ce["prefix"]
+        assert (ce["route"], ce["case"], ce["n"], ce["field"]) == ("streaming", 0, 3, "context_len")
+        assert (ce["scanning"], ce["streaming"], ce["prefix"]) == (1, 0, [2, 1, 2, 2])
 
     def test_broken_kernel_is_named(self, monkeypatch):
         replay = kernel.replay
@@ -303,10 +303,10 @@ class TestVerify:
 
         monkeypatch.setattr(kernel, "replay", off_by_one)
         report = verify_equivalence(cases=3, max_n=40, seed=5)
-        assert not report.ok
+        assert not report.ok and report.prefixes_checked == 31
         ce = report.counterexample
-        assert ce["route"] == "kernel" and ce["field"] == "histogram" and ce["case"] == 0
-        assert ce["kernel"][0] == ce["scanning"][0] + 1
+        assert (ce["route"], ce["case"], ce["n"], ce["field"]) == ("kernel", 0, 15, "histogram")
+        assert (ce["scanning"], ce["kernel"]) == ([1, 3, 7], [2, 3, 7])
 
     def test_break_at_long_contexts_needs_deep_schedules(self):
         class DeepBug(StreamingEstimator):
@@ -321,12 +321,60 @@ class TestVerify:
             return Schedules(K=LogK(size, 0.5), J=SqrtJ())
 
         report = verify_equivalence(cases=20, max_n=300, seed=5, schedules_for=deep, estimator_factory=DeepBug)
-        assert not report.ok
+        assert not report.ok and report.prefixes_checked == 81
         ce = report.counterexample
-        assert ce["route"] == "streaming" and ce["field"] == "matches"
-        assert ce["streaming"] == ce["scanning"] + 1
+        assert (ce["route"], ce["case"], ce["n"], ce["field"]) == ("streaming", 0, 81, "matches")
+        assert (ce["scanning"], ce["streaming"]) == (12, 13)
+        # the prefix shows its head and the last 20 symbols through X_n, where the length-2 suffix sits
+        assert len(ce["prefix"]) == 41 and ce["prefix"][20] == "..."
+        assert ce["prefix"][-20:] == [0, 0, 2, 2, 0, 1, 2, 0, 1, 0, 2, 1, 0, 0, 0, 0, 1, 0, 1, 2]
         # the default schedules never reach K(n) = 2 at max_n 2000, so the default suite misses it
         assert verify_equivalence(estimator_factory=DeepBug).ok
+
+    @pytest.mark.parametrize(
+        "mutation, reason",
+        [
+            ("drop", "expected 9 entries, got 8"),
+            ("add", "expected 9 entries, got 10"),
+            ("swap", "listed backshift does not match the suffix"),
+        ],
+    )
+    def test_wrong_recurrence_list_is_named(self, monkeypatch, mutation, reason):
+        scan, n = verify._scan, 30
+
+        def mutated(arr, ns, caps, needs, size):
+            kappa, matches, hist, ends = scan(arr, ns, caps, needs, size)
+            for g, (rows, cols, mask) in enumerate(ends):
+                row = ns[rows] == n
+                if row.any():
+                    mask = mask.copy()
+                    if mutation != "add":  # drop the latest end
+                        mask[row, np.flatnonzero(mask[row][0])[-1]] = False
+                    if mutation != "drop":  # list the latest earlier end whose symbol differs from X_n
+                        cols = np.append(cols, np.flatnonzero(arr[:n] != arr[n])[-1])
+                        mask = np.column_stack([mask, row])
+                    ends[g] = rows, cols, mask
+            return kappa, matches, hist, ends
+
+        monkeypatch.setattr(verify, "_scan", mutated)
+        report = verify_equivalence(cases=3, max_n=40, seed=5)
+        assert not report.ok and report.prefixes_checked == n
+        ce = report.counterexample
+        assert (ce["route"], ce["case"], ce["n"], ce["field"]) == ("streaming", 0, n, "recurrence_times")
+        assert ce["scanning"] == reason
+
+    def test_one_scan_per_row_block(self, monkeypatch):
+        scan, blocks = verify._scan, []
+
+        def counted(arr, ns, *args):
+            blocks.append((len(ns), len(arr)))
+            return scan(arr, ns, *args)
+
+        monkeypatch.setattr(verify, "_scan", counted)
+        report = verify_equivalence(cases=2, max_n=2000, seed=3)
+        assert report.ok and sum(rows for rows, _ in blocks) == report.prefixes_checked
+        # every prefix is scanned once, in blocks of at most 2^17 rows x length: 65 rows or more at length <= 2000
+        assert all(rows * length <= 1 << 17 for rows, length in blocks) and len(blocks) <= 2 * -(-2000 // 65)
 
     def test_trivial_max_n(self):
         report = verify_equivalence(cases=3, max_n=1, seed=1)

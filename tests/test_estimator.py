@@ -15,7 +15,7 @@ from nextsym import (
     verify_equivalence,
 )
 from nextsym import kernel
-from nextsym.estimator import ConstantSchedule, probe
+from nextsym.estimator import ConstantSchedule, LogK, SqrtJ, _scan, probe
 from nextsym.streaming import StreamingEstimator
 from conftest import brute_count, brute_histogram, brute_kappa, brute_times
 
@@ -128,6 +128,64 @@ class TestKappaLambda:
             n = len(data) - 1
             counts = [len(recurrence_times(s, n, k)) for k in range(1, n + 2)]
             assert counts == sorted(counts, reverse=True)
+
+
+def _block_scan(data: list, size: int, schedules: Schedules, rows: int) -> tuple:
+    """The block scan at every prefix of ``data``, ``rows`` prefixes per call:
+    kappa, matches, histograms and match ends as lists indexed by n."""
+    arr = np.array(data, np.uint8)
+    ns = np.arange(len(data))
+    caps = np.array([0] + [min(schedules.K(n), n + 1) for n in range(1, len(data))])
+    needs = np.array([1] + [max(schedules.J(n), 1) for n in range(1, len(data))])
+    kappa, matches, hist, ends = [], [], [], [None] * len(data)
+    for lo in range(0, len(data), rows):
+        block = ns[lo : lo + rows]
+        k, m, h, groups = _scan(arr, block, caps[block], needs[block], size)
+        kappa, matches, hist = kappa + k.tolist(), matches + m.tolist(), hist + h.tolist()
+        for group, cols, mask in groups:
+            for i, row in zip(group.tolist(), mask):
+                ends[lo + i] = cols[row].tolist()
+    return kappa, matches, hist, ends
+
+
+_SCAN_SCHEDULES = {
+    "default": Schedules.default,
+    "log 0.5, sqrt": lambda size: Schedules(K=LogK(size, 0.5), J=SqrtJ()),
+    "constant 6, 2": lambda size: Schedules(K=ConstantSchedule(6), J=ConstantSchedule(2)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(2, 4),
+    length=st.integers(1, 80),
+    which=st.sampled_from(sorted(_SCAN_SCHEDULES)),
+    seed=st.integers(0, 2**32 - 1),
+    skew=st.booleans(),
+)
+def test_block_scan_matches_brute_oracles(size, length, which, seed, skew):
+    rng = np.random.default_rng(seed)
+    probs = np.array([8.0] + [1.0] * (size - 1)) if skew else np.ones(size)
+    data = rng.choice(size, length, p=probs / probs.sum()).tolist()
+    sch = _SCAN_SCHEDULES[which](size)
+    whole = _block_scan(data, size, sch, length)
+    for rows in (1, 7, 64):
+        assert _block_scan(data, size, sch, rows) == whole
+    for n, (kappa, matches, hist, ends) in enumerate(zip(*whole)):
+        k = brute_kappa(data, n, min(sch.K(n), n + 1), max(sch.J(n), 1)) if n else 0
+        assert kappa == k
+        assert hist == (brute_histogram(data, n, k, size) if k else [0] * size) and matches == sum(hist)
+        assert ends == ([n - t for t in reversed(brute_times(data, n, k))] if k else [])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_block_scan_edge_rows(rows):
+    # n = 0 abstains, J(n) = 0 still needs one occurrence, and K(n) = 0 leaves no length to try
+    kappa, matches, hist, ends = _block_scan([0, 1, 1, 0, 1], 2, Schedules(K=ConstantSchedule(3), J=lambda n: 0), rows)
+    assert (kappa[0], matches[0], hist[0], ends[0]) == (0, 0, [0, 0], [])
+    assert (kappa[4], matches[4], hist[4], ends[4]) == (2, 1, [0, 1], [1])
+    kappa, matches, hist, ends = _block_scan([0, 1, 1, 0, 1], 2, Schedules(K=ConstantSchedule(0), J=lambda n: 0), rows)
+    assert kappa == matches == [0] * 5 and hist == [[0, 0]] * 5 and ends == [[]] * 5
 
 
 class TestEstimate:

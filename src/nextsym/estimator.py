@@ -182,14 +182,14 @@ class LogK:
 
     def values(self, lo: int, hi: int) -> np.ndarray:
         """K(n) for n in [lo, hi) as an int64 array."""
-        out = np.full(hi - lo, self.value(lo), dtype=np.int64)
-        m = int(out[0]) + 1
+        m = self.value(lo)
+        out = np.full(hi - lo, m, dtype=np.int64)
         while True:
+            m += 1
             step = self._first(m, lo, hi)
             if step == hi:
                 return out
             out[step - lo :] = m
-            m += 1
 
     def __eq__(self, other):
         return isinstance(other, LogK) and (other.base, other._p, other._q) == (self.base, self._p, self._q)

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -250,7 +252,24 @@ class TestStationaryDistribution:
         assert np.abs(law @ P - law).max() <= 1e-12
         assert np.abs(law - exact_stationary(P)).max() <= 1e-15
 
-    def test_direct_solve_and_power_iteration_agree(self, monkeypatch):
+    @pytest.mark.parametrize("order", [11, 16])
+    def test_slowly_mixing_chain_above_dense_max(self, order):
+        # near-absorbing rows mix slowly; a power iteration capped at 200,000 steps failed here
+        rows = tuple((0.99999, 0.00001) if c % 2 == 0 else (0.00002, 0.99998) for c in range(2**order))
+        spec = MarkovProcess(BINARY, order, rows)
+        assert 2**order > processes._DENSE_MAX
+        law = spec._context_law
+        stepped = (law[:, None] * np.array(rows)).reshape(2, -1).sum(axis=0)  # law @ P over contexts
+        assert np.abs(stepped - law).max() <= 1e-12
+        assert abs(law.sum() - 1.0) <= 1e-15
+        seq = generate(spec, 5, 200).seq.as_array()
+        rows_out = np.concatenate(list(Oracle(spec).conditionals(seq, 64)))
+        assert rows_out.shape == (201, 2)
+        assert np.abs(rows_out.sum(axis=1) - 1.0).max() <= 1e-12
+        codes = np.lib.stride_tricks.sliding_window_view(seq, order) @ (1 << np.arange(order)[::-1])
+        assert rows_out[order - 1 :].tolist() == [list(rows[c]) for c in codes]
+
+    def test_direct_solve_and_gmres_agree(self, monkeypatch):
         rng = np.random.default_rng(22)
         for order, size in [(1, 2), (1, 4), (2, 2), (2, 3), (3, 2), (5, 2)]:
             rows = tuple(map(tuple, positive_stochastic(rng, size**order, size)))
@@ -258,8 +277,21 @@ class TestStationaryDistribution:
             solved = stationary_block_law(spec, order)
             with monkeypatch.context() as patch:
                 patch.setattr(processes, "_DENSE_MAX", 0)
-                iterated = stationary_block_law(dataclasses.replace(spec), order)
-            assert np.abs(solved - iterated).max() <= 1e-12
+                krylov = stationary_block_law(dataclasses.replace(spec), order)
+            assert np.abs(solved - krylov).max() <= 1e-12
+
+    def test_small_chains_do_not_import_scipy(self):
+        # scipy is imported only for chains above _DENSE_MAX contexts; at module top it would
+        # add about 0.15 s to every simulate run
+        code = (
+            "import sys, nextsym.cli\n"
+            "from nextsym import Alphabet, MarkovProcess, Oracle, generate\n"
+            "spec = MarkovProcess(Alphabet('01'), 2, ((0.9, 0.1), (0.6, 0.4), (0.4, 0.6), (0.1, 0.9)))\n"
+            "list(Oracle(spec).conditionals(generate(spec, 1, 1000).seq.as_array(), 64))\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_rejects_bad_matrices(self):
         for P in (

@@ -146,7 +146,9 @@ SCHEDULES = {
 
 
 @pytest.mark.parametrize("name", sorted(SCHEDULES))
-@pytest.mark.parametrize("lo, hi", [(1, 3000), (2**20 - 50, 2**20 + 50), (3**10 - 9, 3**10 + 9), (10**12, 10**12 + 40)])
+@pytest.mark.parametrize(
+    "lo, hi", [(1, 3000), (2**20 - 50, 2**20 + 50), (3**10 - 9, 3**10 + 9), (10**12, 10**12 + 40), (5, 5)]
+)
 def test_schedule_values_equal_scalar_calls(name, lo, hi):
     fn = SCHEDULES[name]
     assert schedule_values(fn, lo, hi).tolist() == [fn(n) for n in range(lo, hi)]

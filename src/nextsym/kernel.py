@@ -13,9 +13,9 @@ of one push and one probe per symbol:
 The segment is processed in fixed chunks, and the counts per block are
 carried from chunk to chunk.  Blocks are numbered one length at a time: the
 length-k block ending at e is keyed by (number of the length-(k-1) block
-ending at e-1, X_e), and numbers are handed out in order of first
-appearance, so keys stay below (N+1)*|A| for every k.  Within a chunk the
-ends of each block are found by one stable sort of the keys.
+ending at e-1) * |A| + X_e, and a dense lookup per length turns keys into
+numbers.  Within a chunk the ends of each block are found by one stable
+sort of the keys.
 
 K and J come as exact arrays (:func:`schedule_values`).  Results equal the
 scanning evaluator and the streaming index bit for bit;
@@ -81,36 +81,40 @@ def _sortable(keys: np.ndarray) -> np.ndarray:
 class _Blocks:
     """Numbering and running counts of the blocks of one length.
 
+    ``lookup[key]`` is the number of the block with that key, or 0 while the
+    key is unseen.  Numbers start at 1: number 0 is reserved for the block
+    before position 0, which is the initial ``tail`` and the number of every
+    length-0 block, so row 0 of ``seen`` and ``succ`` goes unused.  At
+    positions where no block of this length ends yet, the keys trace back
+    to number 0, so no full block shares their numbers.
+
     ``seen[i]`` counts the ends of block i before the current chunk and
     ``succ[i, s]`` those of them followed by symbol s.  :meth:`scan` groups
     a chunk's ends by block; :meth:`histogram` and :meth:`absorb` reuse that
     grouping.
     """
 
-    __slots__ = ("size", "keys", "key_ids", "seen", "succ", "tail", "_chunk")
+    __slots__ = ("size", "lookup", "seen", "succ", "tail", "_chunk")
 
     def __init__(self, size: int):
         self.size = size
-        self.keys = np.empty(0, np.int64)  # sorted
-        self.key_ids = np.empty(0, np.int64)  # number of each key
-        self.seen = np.empty(0, np.int64)
-        self.succ = np.empty((0, size), np.int64)
-        self.tail = -1  # number of the block ending just before the chunk
+        self.lookup = np.zeros(size, np.int64)
+        self.seen = np.zeros(1, np.int64)
+        self.succ = np.zeros((1, size), np.int64)
+        self.tail = 0  # number of the block ending just before the chunk
         self._chunk = None
 
     def _number(self, uniq: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(self.keys, uniq)
-        known = pos < len(self.keys)
-        known[known] = self.keys[pos[known]] == uniq[known]
-        ids = np.empty(len(uniq), np.int64)
-        ids[known] = self.key_ids[pos[known]]
-        fresh = ~known
+        """Numbers of the ascending distinct keys ``uniq``; unseen keys get the next ones."""
+        top = int(uniq[-1])
+        if top >= len(self.lookup):  # grown by doubling, so growth stays amortised
+            self.lookup = np.pad(self.lookup, (0, max(top + 1 - len(self.lookup), len(self.lookup))))
+        ids = self.lookup[uniq]
+        fresh = ids == 0
         count = int(np.count_nonzero(fresh))
         if count:
-            new_ids = np.arange(len(self.seen), len(self.seen) + count)
-            ids[fresh] = new_ids
-            self.keys = np.insert(self.keys, pos[fresh], uniq[fresh])
-            self.key_ids = np.insert(self.key_ids, pos[fresh], new_ids)
+            ids[fresh] = np.arange(len(self.seen), len(self.seen) + count)
+            self.lookup[uniq[fresh]] = ids[fresh]
             self.seen = np.concatenate([self.seen, np.zeros(count, np.int64)])
             self.succ = np.concatenate([self.succ, np.zeros((count, self.size), np.int64)])
         return ids
@@ -216,31 +220,23 @@ def replay(
         need = _thresholds(schedules, lo, hi)
         kappa = np.zeros(length, np.int64)
         matches = np.zeros(length, np.int64)
-        used = []
-        prev = None  # numbers of the length-(k-1) blocks ending at lo-1 .. hi-2
+        keys = x  # every length-0 block is number 0
         for k, level in enumerate(levels, 1):
-            first = max(0, k - 1 - lo)  # no length-k block ends before position k-1
-            if first >= length:
-                break
-            keys = x if k == 1 else prev[first:] * size + x[first:]
             before = level.tail
-            ids, lam = level.scan(keys, succ[first:])
-            ok = (cap[first:] >= k) & (lam >= need[first:])
-            np.copyto(kappa[first:], k, where=ok)
-            np.copyto(matches[first:], lam, where=ok)
-            used.append((first, level))
-            if k < k_max:
-                numbers = np.full(length, -1, np.int64)
-                numbers[first:] = ids
-                prev = np.concatenate(([before], numbers[:-1]))
+            ids, lam = level.scan(keys, succ)
+            ok = (cap >= k) & (lam >= need)
+            np.copyto(kappa, k, where=ok)
+            np.copyto(matches, lam, where=ok)
+            if k < k_max:  # the last length's numbers key nothing
+                keys = np.concatenate(([before], ids[:-1])) * size + x
         hist = None
         if histogram:
             hist = np.zeros((length, size), np.int64)
-            for k, (first, level) in enumerate(used, 1):
-                at = kappa[first:] == k
+            for k, level in enumerate(levels, 1):
+                at = kappa == k
                 if at.any():
-                    hist[first:][at] = level.histogram(at, matches[first:][at])
+                    hist[at] = level.histogram(at, matches[at])
         if hi < total:
-            for _, level in used:
+            for level in levels:
                 level.absorb()
         yield Replayed(lo, kappa, matches, hist)

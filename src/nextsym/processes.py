@@ -64,7 +64,8 @@ _ROW_TOL = 1e-12
 _STATIONARY_TOL = 1e-12
 MAX_BLOCKS = 65536  # most Markov contexts, and most blocks an exact block law enumerates
 _DENSE_MAX = 1024  # most Markov contexts solved directly (1,024: 28 ms, 8 MB matrix); more go to GMRES
-_GMRES_RESTART = 30  # Krylov basis vectors kept (65,536 contexts: about 16 MB)
+_GMRES_RESTART = 400  # Krylov basis vectors kept (65,536 contexts: up to 210 MB); 280 stalls on slowly mixing chains
+_GMRES_CYCLES = 5  # restart cycles before _checked judges the result (65,536 contexts: at most about 32 s)
 _GMRES_RTOL = 1e-15  # times ||1||_2 <= 256 (MAX_BLOCKS contexts): residual 2-norm at most 2.6e-13
 _DRAW_CHUNK = 1 << 14  # uniforms are drawn this many at a time; the stream is the same
 _SCAN_BLOCK = 32  # uniforms per block of _walk's blocked scan
@@ -239,7 +240,8 @@ class MarkovProcess:
             return v - (v[:, None] * P).reshape(size, mod * size).sum(axis=0) + v.sum()
 
         A = LinearOperator((n_ctx, n_ctx), matvec=balance, dtype=float)
-        pi = np.maximum(gmres(A, np.ones(n_ctx), rtol=_GMRES_RTOL, restart=_GMRES_RESTART)[0], 0.0)
+        pi = gmres(A, np.ones(n_ctx), rtol=_GMRES_RTOL, restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES)[0]
+        pi = np.maximum(pi, 0.0)
         pi /= pi.sum()
         return _checked(pi, pi + pi.sum() - balance(pi))  # pi P
 

@@ -20,7 +20,7 @@ from nextsym import (
     run_experiment,
 )
 from nextsym import kernel, processes
-from nextsym.estimator import probe
+from nextsym.estimator import ConstantSchedule, probe
 from nextsym.config import build_schedules
 
 
@@ -82,6 +82,41 @@ def test_histogram_can_be_skipped():
     data = np.random.default_rng(1).integers(0, 3, 500).astype(np.uint8)
     (part,) = kernel.replay(data, 3, Schedules.default(3), histogram=False)
     assert part.hist is None and part.kappa.shape == (500,)
+
+
+def test_deep_cap_sorts_wide_keys(monkeypatch):
+    # K = 20 over 2^17 + 5 random binary symbols: keys reach 2^16 and up, so the int64 sort
+    # and the lookup's growth are exercised over the default 9 chunks
+    rng = np.random.default_rng(7)
+    data = rng.integers(0, 2, 2**17 + 5).astype(np.uint8)
+    schedules = Schedules(ConstantSchedule(20), ConstantSchedule(1))
+    widest = []
+    sortable = kernel._sortable
+    monkeypatch.setattr(kernel, "_sortable", lambda keys: widest.append(int(keys.max())) or sortable(keys))
+    parts = list(kernel.replay(data, 2, schedules))
+    assert len(parts) == 9 and max(widest) >= 1 << 16
+    kappa = np.concatenate([p.kappa for p in parts])
+    matches = np.concatenate([p.matches for p in parts])
+    hist = np.concatenate([p.hist for p in parts])
+    n = len(data)
+    ends = [p.start + len(p.kappa) - 1 for p in parts]
+    at = {0, 1, 19, 20, n - 1, *(p.start for p in parts), *ends, *rng.integers(0, n, 40).tolist()}
+    seq = SymbolSequence(Alphabet.of_size(2), data.tobytes())
+    for i in sorted(at):
+        k, lam, want = probe(seq, i, schedules) or (0, 0, [0, 0])
+        assert (kappa[i], matches[i], hist[i].tolist()) == (k, lam, want), i
+    # at every position, with J = 1: kappa is the longest block that occurred before, lambda its count
+    codes = np.zeros(n, np.int64)
+    want_kappa, want_matches = np.zeros(n, np.int64), np.zeros(n, np.int64)
+    for k in range(1, 21):
+        codes = np.concatenate(([0], codes[:-1])) * 2 + data  # the length-k block ending at each position
+        codes[: k - 1] = -np.arange(1, k)  # no full block ends there yet
+        order = np.argsort(codes, kind="stable")
+        ranks = np.empty(n, np.int64)
+        ranks[order] = np.arange(n) - np.searchsorted(codes[order], codes[order])
+        ok = ranks > 0
+        want_kappa[ok], want_matches[ok] = k, ranks[ok]
+    assert np.array_equal(kappa, want_kappa) and np.array_equal(matches, want_matches)
 
 
 @pytest.mark.parametrize("chunk", [0, -1])

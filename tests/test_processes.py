@@ -252,10 +252,13 @@ class TestStationaryDistribution:
         assert np.abs(law @ P - law).max() <= 1e-12
         assert np.abs(law - exact_stationary(P)).max() <= 1e-15
 
-    @pytest.mark.parametrize("order", [11, 16])
-    def test_slowly_mixing_chain_above_dense_max(self, order):
-        # near-absorbing rows mix slowly; a power iteration capped at 200,000 steps failed here
-        rows = tuple((0.99999, 0.00001) if c % 2 == 0 else (0.00002, 0.99998) for c in range(2**order))
+    @pytest.mark.parametrize("order, kind", [(11, "absorbing"), (16, "absorbing"), (11, "sparse")], ids=["11", "16", "11-sparse"])
+    def test_slowly_mixing_chain_above_dense_max(self, order, kind):
+        if kind == "absorbing":  # mixes slowly; a power iteration capped at 200,000 steps failed here
+            rows = tuple((0.99999, 0.00001) if c % 2 == 0 else (0.00002, 0.99998) for c in range(2**order))
+        else:  # nearly decomposable, 17% of entries below 1e-10; GMRES with a basis of 280 stalls here
+            rows = np.maximum(np.random.default_rng(0).dirichlet([0.05, 0.05], 2**order), 1e-300)
+            rows = tuple(map(tuple, rows / rows.sum(axis=1, keepdims=True)))
         spec = MarkovProcess(BINARY, order, rows)
         assert 2**order > processes._DENSE_MAX
         law = spec._context_law

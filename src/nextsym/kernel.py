@@ -10,8 +10,9 @@ of one push and one probe per symbol:
 - kappa[n] is the longest k <= min(K(n), n+1) with lambda_k[n] >= J(n), or 0
   (abstain) at n = 0 and when no length qualifies.
 
-The segment is processed in fixed chunks, and the counts per block are
-carried from chunk to chunk.  Blocks are numbered one length at a time: the
+The segment is processed in fixed chunks.  Each block's successor histogram
+over the earlier chunks is the only count carried from chunk to chunk; its
+total is lambda there.  Blocks are numbered one length at a time: the
 length-k block ending at e is keyed by (number of the length-(k-1) block
 ending at e-1) * |A| + X_e, and a dense lookup per length turns keys into
 numbers.  Within a chunk the ends of each block are found by one stable
@@ -69,40 +70,35 @@ def schedule_values(fn: Callable[[int], int], lo: int, hi: int) -> np.ndarray:
 
 
 def _sortable(keys: np.ndarray) -> np.ndarray:
-    """Keys in the narrowest unsigned type, where numpy's stable sort is a radix sort."""
-    top = int(keys.max())
-    if top < 1 << 8:
-        return keys.astype(np.uint8)
-    if top < 1 << 16:
+    """Keys as uint16 when they fit, where numpy's stable sort is a radix sort."""
+    if int(keys.max()) < 1 << 16:
         return keys.astype(np.uint16)
     return keys
 
 
 class _Blocks:
-    """Numbering and running counts of the blocks of one length.
+    """Numbering and successor counts of the blocks of one length.
 
     ``lookup[key]`` is the number of the block with that key, or 0 while the
     key is unseen.  Numbers start at 1: number 0 is reserved for the block
     before position 0, which is the initial ``tail`` and the number of every
-    length-0 block, so row 0 of ``seen`` and ``succ`` goes unused.  At
-    positions where no block of this length ends yet, the keys trace back
-    to number 0, so no full block shares their numbers.
+    length-0 block, so row 0 of ``succ`` goes unused.  At positions where no
+    block of this length ends yet, the keys trace back to number 0, so no
+    full block shares their numbers.
 
-    ``seen[i]`` counts the ends of block i before the current chunk and
-    ``succ[i, s]`` those of them followed by symbol s.  :meth:`scan` groups
-    a chunk's ends by block; :meth:`histogram` and :meth:`absorb` reuse that
-    grouping.
+    ``succ[i, s]`` counts the ends of block i before the current chunk that
+    are followed by symbol s; every such end has a successor, so the row
+    total is their count.  :meth:`scan` groups a chunk's ends by block and
+    :meth:`finish` takes that grouping back once kappa is known.
     """
 
-    __slots__ = ("size", "lookup", "seen", "succ", "tail", "_chunk")
+    __slots__ = ("size", "lookup", "succ", "tail")
 
     def __init__(self, size: int):
         self.size = size
         self.lookup = np.zeros(size, np.int64)
-        self.seen = np.zeros(1, np.int64)
         self.succ = np.zeros((1, size), np.int64)
         self.tail = 0  # number of the block ending just before the chunk
-        self._chunk = None
 
     def _number(self, uniq: np.ndarray) -> np.ndarray:
         """Numbers of the ascending distinct keys ``uniq``; unseen keys get the next ones."""
@@ -113,14 +109,14 @@ class _Blocks:
         fresh = ids == 0
         count = int(np.count_nonzero(fresh))
         if count:
-            ids[fresh] = np.arange(len(self.seen), len(self.seen) + count)
+            ids[fresh] = np.arange(len(self.succ), len(self.succ) + count)
             self.lookup[uniq[fresh]] = ids[fresh]
-            self.seen = np.concatenate([self.seen, np.zeros(count, np.int64)])
             self.succ = np.concatenate([self.succ, np.zeros((count, self.size), np.int64)])
         return ids
 
-    def scan(self, keys: np.ndarray, succ: np.ndarray) -> tuple:
-        """Block numbers and lambda at each end of the chunk, in order."""
+    def scan(self, keys: np.ndarray) -> tuple:
+        """Block numbers and lambda at each end of the chunk, in order, and
+        the grouping of the ends by block for :meth:`finish`."""
         order = np.argsort(_sortable(keys), kind="stable")
         sorted_keys = keys[order]
         new = np.empty(len(keys), dtype=bool)
@@ -129,41 +125,38 @@ class _Blocks:
         starts = np.flatnonzero(new)
         group = np.cumsum(new) - 1
         gids = self._number(sorted_keys[starts])
-        ids_sorted = gids[group]
         lam = np.empty(len(keys), np.int64)
-        lam[order] = self.seen[ids_sorted] + (np.arange(len(keys)) - starts[group])
+        lam[order] = (self.succ.take(gids, axis=0).sum(axis=1) - starts)[group] + np.arange(len(keys))
         ids = np.empty(len(keys), np.int64)
-        ids[order] = ids_sorted
-        self._chunk = (order, starts, group, gids, ids_sorted, succ[order])
+        ids[order] = gids[group]
         self.tail = int(ids[-1])
-        return ids, lam
+        return ids, lam, (order, starts, group, gids)
 
-    def histogram(self, at: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    def finish(self, grouping: tuple, succ: np.ndarray, at: np.ndarray) -> np.ndarray:
         """Successor counts of the earlier ends of the block, at the chunk
-        positions selected by the mask ``at``; ``lam`` is their total."""
-        order, starts, group, _, ids_sorted, succ_sorted = self._chunk
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        where = rank[at]  # sorted positions of the selected ends
-        first = starts[group[where]]
-        ids = ids_sorted[where]
-        out = np.empty((len(where), self.size), np.int64)
-        rest = lam.copy()
-        for s in range(self.size - 1):
-            hit = succ_sorted == s
-            before = np.cumsum(hit) - hit  # hits strictly before each sorted position
-            out[:, s] = self.succ[ids, s] + (before[where] - before[first])
-            rest -= out[:, s]
-        out[:, -1] = rest  # every earlier end has a successor
-        return out
-
-    def absorb(self) -> None:
-        """Add the chunk's ends to the running counts."""
-        order, starts, group, gids, _, succ_sorted = self._chunk
-        self.seen[gids] += np.diff(np.append(starts, len(order)))
+        positions selected by the mask ``at``; then the chunk's ends, followed
+        by ``succ``, join the counts."""
+        order, starts, group, gids = grouping
+        succ_sorted = succ[order]
+        hist = np.zeros((0, self.size), np.int64)
+        if at.any():
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            where = rank[at]  # sorted positions of the selected ends
+            blocks = group[where]
+            first = starts[blocks]
+            hist = self.succ.take(gids[blocks], axis=0)  # counts before the chunk
+            rest = where - first  # earlier ends of the same block inside the chunk
+            for s in range(self.size - 1):
+                hit = succ_sorted == s
+                before = np.cumsum(hit) - hit  # hits strictly before each sorted position
+                inside = before[where] - before[first]
+                hist[:, s] += inside
+                rest -= inside
+            hist[:, -1] += rest
         per = np.bincount(group * self.size + succ_sorted, minlength=len(starts) * self.size)
         self.succ[gids] += per.reshape(-1, self.size)
-        self._chunk = None
+        return hist
 
 
 def _caps(schedules: Schedules, lo: int, hi: int) -> np.ndarray:
@@ -214,29 +207,25 @@ def replay(
     for (lo, hi), cap in zip(bounds, caps):
         length = hi - lo
         x = seq[lo:hi].astype(np.int64)
-        succ = np.zeros(length, np.int64)  # the segment's last position has no successor; never counted
+        succ = np.zeros(length, np.int64)  # the segment's last position has no successor; never read
         tail = seq[lo + 1 : hi + 1]
         succ[: len(tail)] = tail
         need = _thresholds(schedules, lo, hi)
         kappa = np.zeros(length, np.int64)
         matches = np.zeros(length, np.int64)
         keys = x  # every length-0 block is number 0
+        groupings = []
         for k, level in enumerate(levels, 1):
             before = level.tail
-            ids, lam = level.scan(keys, succ)
+            ids, lam, grouping = level.scan(keys)
+            groupings.append(grouping)
             ok = (cap >= k) & (lam >= need)
             np.copyto(kappa, k, where=ok)
             np.copyto(matches, lam, where=ok)
             if k < k_max:  # the last length's numbers key nothing
                 keys = np.concatenate(([before], ids[:-1])) * size + x
-        hist = None
-        if histogram:
-            hist = np.zeros((length, size), np.int64)
-            for k, level in enumerate(levels, 1):
-                at = kappa == k
-                if at.any():
-                    hist[at] = level.histogram(at, matches[at])
-        if hi < total:
-            for level in levels:
-                level.absorb()
-        yield Replayed(lo, kappa, matches, hist)
+        hist = np.zeros((length, size), np.int64)
+        for k, (level, grouping) in enumerate(zip(levels, groupings), 1):
+            at = (kappa == k) & histogram  # no rows when the histograms are skipped
+            hist[at] = level.finish(grouping, succ, at)
+        yield Replayed(lo, kappa, matches, hist if histogram else None)

@@ -2,9 +2,9 @@
 
 Recomputing the estimator from scratch after every new symbol costs O(n) per
 step.  This index instead stores, for every block length k <= k_max and every
-block value, one count (how often the block has occurred with a successor
-inside the segment) and one histogram of those successors.  A push then costs
-amortized O(k_max) and a query O(K(n) + alphabet size), with results equal
+block value, the histogram of the symbols that followed its occurrences
+inside the segment; its total is the match count.  A push then costs
+amortized O(k_max) and a query O(K(n) * alphabet size), with results equal
 bit for bit to the scanning evaluator in :mod:`nextsym.estimator`.
 
 Blocks are keyed by their base-|alphabet| integer encoding, which is
@@ -17,10 +17,6 @@ from .estimator import DistributionEstimate, EstimateResult, PayoffFunction, Sch
 from .sequences import Alphabet, SymbolSequence
 
 __all__ = ["StreamingEstimator", "CapacityError"]
-
-# internal per-block layout: [count_with_successor, succ_count_0, ..., succ_count_{B-1}]
-_COUNT = 0
-_HIST = 1
 
 
 class CapacityError(RuntimeError):
@@ -67,10 +63,9 @@ class StreamingEstimator:
             code = codes[i]
             cell = stats.get(code)
             if cell is None:
-                cell = [0] * (_HIST + size)
+                cell = [0] * size
                 stats[code] = cell
-            cell[_COUNT] += 1
-            cell[_HIST + symbol_index] += 1
+            cell[symbol_index] += 1
         for i in range(k_max - 1, 0, -1):  # roll codes to end at m
             codes[i] = codes[i - 1] * size + symbol_index
         codes[0] = symbol_index
@@ -96,8 +91,8 @@ class StreamingEstimator:
         stats = self._stats
         for k in range(k_n, 0, -1):
             cell = stats[k - 1].get(codes[k - 1])
-            if cell is not None and cell[_COUNT] >= j_n:
-                return k, cell[_COUNT], cell[_HIST:]
+            if cell is not None and (count := sum(cell)) >= j_n:
+                return k, count, cell[:]
         return None
 
     def current_estimate(self, payoff: PayoffFunction) -> EstimateResult:

@@ -380,6 +380,27 @@ class TestVerify:
         report = verify_equivalence(cases=3, max_n=1, seed=1)
         assert report.ok and report.prefixes_checked == 3
 
+    def test_failure_prints_every_counterexample_field(self, monkeypatch, capsys):
+        scan = verify._scan
+
+        def one_match_too_many(*args):
+            kappa, matches, hist, ends = scan(*args)
+            return kappa, matches + 1, hist, ends
+
+        monkeypatch.setattr(verify, "_scan", one_match_too_many)
+        report = verify_equivalence(cases=3, max_n=40, seed=5)
+        assert main(["verify", "--max-n", "40", "--cases", "3", "--seed", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "equivalence FAILED; first counterexample:",
+            *(f"  {key}: {value}" for key, value in report.counterexample.items()),
+        ]
+        fields = ["case", "alphabet_size", "n", "route", "field", "scanning", "streaming", "prefix"]
+        assert list(report.counterexample) == fields
+        # the line the benchmark parses to count the cases that passed
+        assert re.search(r"^\s*case: (\d+)$", err, re.MULTILINE).group(1) == "0"
+
 
 class TestLemmas:
     def lemmas_doc(self):
@@ -464,6 +485,7 @@ class TestLemmas:
         ("--cases", 0),
         ("--max-n", 0),
         ("--seed", -5),
+        ("--workers", 0),
         ("experiment.horizon", 0),
         ("experiment.replicates", 0),
         ("experiment.workers", 0),
@@ -480,7 +502,10 @@ class TestLemmas:
     ],
 )
 def test_out_of_range_input_exits_two_naming_its_field(tmp_path, capsys, field, value):
-    if field.startswith("--"):
+    if field == "--workers":
+        cfg = write_config(tmp_path, MARKOV_DOC)
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "out"), field, str(value)]
+    elif field.startswith("--"):
         argv = ["verify", field, str(value)]
     else:
         if field.startswith(("experiment.", "process.", "schedules.")):
@@ -515,6 +540,23 @@ def test_input_not_utf8_exits_two(tmp_path, capsys, command):
         doc = MARKOV_DOC if command == "simulate" else TestLemmas().lemmas_doc()
         path.write_bytes(json.dumps(doc).encode() + b"\xff")
         argv, message = ["--config", str(path), "--out", str(tmp_path / "out")], "config is not UTF-8"
+    assert main([command, *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("estimate", None, "cannot read sequence file"),  # no such file
+        ("simulate", b'{"process": ', "config is not valid JSON"),
+        ("lemmas", b"[]", "config document must be a JSON object"),
+    ],
+)
+def test_unreadable_input_exits_two(tmp_path, capsys, command, content, message):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_bytes(content)
+    argv = [str(path)] if command == "estimate" else ["--config", str(path), "--out", str(tmp_path / "out")]
     assert main([command, *argv]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
 

@@ -19,7 +19,9 @@ from nextsym import (
     run_experiment,
     schedule_J,
 )
+from nextsym import harness
 from nextsym.config import build_schedules
+from nextsym.estimator import LogK, SqrtJ
 from nextsym.harness import _wilson_halfwidth, default_eval_grid
 
 BINARY = Alphabet("01")
@@ -27,6 +29,7 @@ COIN = IIDProcess(BINARY, (0.5, 0.5))
 CONSTANT = IIDProcess(BINARY, (1.0, 0.0))
 FLIP = MarkovProcess(BINARY, 1, ((0.7, 0.3), (0.3, 0.7)))
 IND1 = PayoffFunction.indicator(BINARY, "1")
+NO_11 = MarkovProcess(BINARY, 1, ((0.5, 0.5), (1.0, 0.0)))  # the block 11 never occurs
 
 
 class TestSeeding:
@@ -220,6 +223,17 @@ class TestLemmaResampling:
         assert report.status == "pass"
         assert len(report.counts) == 4 and report.dof == 3
 
+    def test_replicates_short_of_j_recurrences_are_excluded(self):
+        # a length-5 suffix recurs twice within 60 steps in only about half the replicates
+        report = check_lemma_resampling(COIN, k=5, j=2, n=60, replicates=100, base_seed=23)
+        assert (report.status, report.usable, report.excluded, report.counts) == ("pass", 53, 47, (24, 29))
+
+    def test_impossible_block_fails(self, monkeypatch):
+        # a law that rules out the symbol 1 stands for a generator that disagrees with its law
+        monkeypatch.setattr(harness, "stationary_block_law", lambda spec, length: np.array([1.0, 0.0]))
+        report = check_lemma_resampling(COIN, k=1, j=1, n=100, replicates=60, base_seed=17)
+        assert (report.status, report.usable, report.counts, report.dof) == ("fail", 60, (32, 28), 0)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             check_lemma_resampling(COIN, k=0, j=1, n=10, replicates=10)
@@ -256,6 +270,33 @@ class TestKappaDivergence:
         report = check_kappa_divergence(COIN, horizon=4096, replicates=5)
         assert report.status == "inconclusive"
         assert report.final_cap == 1
+
+    def constant_K(self, value):
+        return build_schedules({"schedules": {"K": {"kind": "constant", "value": value}}}, BINARY)
+
+    def test_missed_cap_fails_when_every_cap_block_is_possible(self):
+        # J(512) = 23 occurrences of a length-5 block: none of the 10 replicates gets past length 4
+        report = check_kappa_divergence(COIN, horizon=512, replicates=10, schedules=self.constant_K(5))
+        assert (report.status, report.final_cap, report.fraction_at_cap) == ("fail", 5, 0.0)
+        assert report.all_blocks_positive and report.min_context[-1] == 4 and report.note == ""
+
+    def test_missed_cap_is_inconclusive_with_impossible_cap_blocks(self):
+        report = check_kappa_divergence(NO_11, horizon=512, replicates=10, schedules=self.constant_K(5))
+        assert (report.status, report.final_cap, report.fraction_at_cap) == ("inconclusive", 5, 0.6)
+        assert not report.all_blocks_positive
+        assert report.note == "some cap-length blocks have zero stationary probability"
+
+    @pytest.mark.parametrize(
+        "name, schedules",
+        [
+            ("K", Schedules(K=lambda n: 3 if n < 300 else 2, J=SqrtJ())),
+            ("J", Schedules(K=LogK(2, 0.25), J=lambda n: 50 if n < 300 else 2)),
+        ],
+    )
+    def test_shrinking_schedule_flags_hypothesis_violation(self, name, schedules):
+        report = check_kappa_divergence(COIN, horizon=4096, replicates=5, schedules=schedules)
+        assert report.status == "hypothesis_violation"
+        assert report.note == f"{name} is not nondecreasing on grid [16, 256, 4096]"
 
     def test_median_context_grows(self):
         report = check_kappa_divergence(COIN, horizon=4096, replicates=20, schedules=self.aggressive())

@@ -272,6 +272,13 @@ class TestStationaryDistribution:
         codes = np.lib.stride_tricks.sliding_window_view(seq, order) @ (1 << np.arange(order)[::-1])
         assert rows_out[order - 1 :].tolist() == [list(rows[c]) for c in codes]
 
+    def test_residual_above_tolerance_raises(self, monkeypatch):
+        # a negative tolerance rejects every law, however small its round-off residual
+        monkeypatch.setattr(processes, "_STATIONARY_TOL", -1.0)
+        spec = MarkovProcess(BINARY, 1, ((0.9, 0.1), (0.2, 0.8)))
+        with pytest.raises(ValueError, match=r"^stationary law residual \d\.\d{3}e[-+]\d+ exceeds -1\.0$"):
+            stationary_block_law(spec, 1)
+
     def test_direct_solve_and_gmres_agree(self, monkeypatch):
         rng = np.random.default_rng(22)
         for order, size in [(1, 2), (1, 4), (2, 2), (2, 3), (3, 2), (5, 2)]:

@@ -485,7 +485,6 @@ class TestLemmas:
         ("--cases", 0),
         ("--max-n", 0),
         ("--seed", -5),
-        ("--workers", 0),
         ("experiment.horizon", 0),
         ("experiment.replicates", 0),
         ("experiment.workers", 0),
@@ -499,6 +498,7 @@ class TestLemmas:
         ("schedules.K.base", 1),
         ("schedules.K.value", 2**70),  # past int64
         ("schedules.J.value", 2**70),
+        ("--workers", 0),  # appended last: earlier ids carry list positions
     ],
 )
 def test_out_of_range_input_exits_two_naming_its_field(tmp_path, capsys, field, value):

@@ -315,22 +315,17 @@ class DistributionEstimate:
         return cls(tuple(c / matches for c in hist), k, matches, False)
 
 
-def recurrence_times(seq: SymbolSequence, n: int, k: int, count: int | None = None) -> list[int]:
+def recurrence_times(seq: SymbolSequence, n: int, k: int) -> list[int]:
     """Backshifts t at which the length-k suffix of X_0..X_n recurs, ascending:
     n minus the match ends of a one-row :func:`_scan` capped at k with
     threshold 1 and no histogram, latest end first; none when the scan
-    stops short of k.
-
-    Returns at most ``count`` entries (all of them when count is None); the
-    list is shorter when fewer in-segment occurrences exist.
+    stops short of k.  The list has one entry per in-segment occurrence.
     """
     _check_position(seq, n)
     if not 1 <= k <= n + 1:
         raise ValueError(f"k={k} outside [1, n+1]={n + 1}")
-    if count is not None and count < 1:
-        raise ValueError("count must be >= 1")
     kappa, _, _, ((_, cols, mask),) = _scan(seq.as_array(), np.array([n]), np.array([k]), np.array([1]), 0)
-    return (n - cols[mask[0]])[::-1][:count].tolist() if kappa[0] == k else []
+    return (n - cols[mask[0]])[::-1].tolist() if kappa[0] == k else []
 
 
 def probe(seq: SymbolSequence, n: int, schedules: Schedules):

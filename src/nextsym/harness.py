@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel
-from .estimator import SCHEDULE_CAP, PayoffFunction, Schedules, payoff_means, recurrence_times
+from .estimator import SCHEDULE_CAP, PayoffFunction, Schedules, payoff_means, probe, recurrence_times
 from .processes import Oracle, ProcessSpec, generate, stationary_block_law
 from .seeding import MAX_SEED, derive_seed
 
@@ -195,9 +195,8 @@ def _run_replicate(cfg: ExperimentConfig, replicate: int) -> list:
     seed = derive_seed(cfg.base_seed, replicate)
     seq = generate(cfg.spec, seed, cfg.horizon).seq.as_array()
     size = cfg.spec.alphabet.size
-    rows_per_chunk = kernel.chunk_rows(size)
-    parts = kernel.replay(seq, size, cfg.schedules, chunk=rows_per_chunk)
-    conds = Oracle(cfg.spec).conditionals(seq, rows_per_chunk)
+    parts = kernel.replay(seq, size, cfg.schedules)
+    conds = Oracle(cfg.spec).conditionals(seq, kernel.chunk_rows(size))
     grid = np.array(cfg.eval_grid)
     rows: list = []
     err_sum = 0.0
@@ -315,11 +314,11 @@ def check_lemma_resampling(
     excluded = 0
     for r in range(replicates):
         traj = generate(spec, derive_seed(base_seed, r), horizon)
-        times = recurrence_times(traj.seq, n, k, count=j)
+        times = recurrence_times(traj.seq, n, k)
         if len(times) < j:
             excluded += 1
             continue
-        t = times[-1]
+        t = times[j - 1]
         code = 0
         data = traj.seq
         for i in range(n - t + 1, n - t + 1 + block_len):
@@ -418,8 +417,9 @@ def check_kappa_divergence(
     schedules: Schedules | None = None,
     base_seed: int = 102,
 ) -> KappaDivergenceReport:
-    """Record matched context lengths along the grid and test that they reach
-    the schedule cap at the horizon in at least 95% of replicates."""
+    """Record matched context lengths at the grid points, one scanning
+    :func:`~nextsym.estimator.probe` each, and test that they reach the
+    schedule cap at the horizon in more than 95% of replicates."""
     if horizon < 1 or replicates < 1:
         raise ValueError("need horizon >= 1 and replicates >= 1")
     schedules = schedules or Schedules.default(spec.alphabet.size)
@@ -444,11 +444,9 @@ def check_kappa_divergence(
     per_grid: list[list[int]] = [[] for _ in grid]
     at_cap = 0
     for r in range(replicates):
-        seq = generate(spec, derive_seed(base_seed, r), horizon).seq.as_array()
-        parts = kernel.replay(seq, spec.alphabet.size, schedules, histogram=False)
-        kappa = np.concatenate([part.kappa for part in parts])
+        seq = generate(spec, derive_seed(base_seed, r), horizon).seq
         for values, n in zip(per_grid, grid):
-            values.append(int(kappa[n]))
+            values.append((probe(seq, n, schedules) or (0,))[0])
         if per_grid[-1][-1] == final_cap:  # grid always ends at the horizon
             at_cap += 1
     fraction = at_cap / replicates

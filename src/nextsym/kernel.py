@@ -29,7 +29,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .estimator import Schedules
+from .estimator import SCHEDULE_CAP, Schedules
 
 __all__ = ["CHUNK", "Replayed", "chunk_rows", "replay", "schedule_values"]
 
@@ -48,7 +48,7 @@ class Replayed(NamedTuple):
     start: int
     kappa: np.ndarray  # matched context length, 0 when abstaining
     matches: np.ndarray  # lambda at kappa, 0 when abstaining
-    hist: np.ndarray | None  # (rows, |A|) successor counts at kappa, zero rows when abstaining
+    hist: np.ndarray  # (rows, |A|) successor counts at kappa, zero rows when abstaining
 
     @property
     def probs(self) -> np.ndarray:
@@ -61,12 +61,17 @@ def schedule_values(fn: Callable[[int], int], lo: int, hi: int) -> np.ndarray:
     """fn(n) for every n in [lo, hi) as an exact int64 array.
 
     Schedules with a ``values`` method use it; any other callable is called
-    once per n.
+    once per n.  If a value does not fit in int64, the values saturate at
+    ``SCHEDULE_CAP``, as ``LinearJ``'s do: no count or length reaches that
+    cap, so the saturated schedule decides as the exact one.
     """
     values = getattr(fn, "values", None)
     if values is not None:
         return values(lo, hi)
-    return np.fromiter(map(fn, range(lo, hi)), dtype=np.int64, count=hi - lo)
+    try:
+        return np.fromiter(map(fn, range(lo, hi)), dtype=np.int64, count=hi - lo)
+    except OverflowError:  # the saturating pass is slower, so it runs only when needed
+        return np.fromiter((min(fn(n), SCHEDULE_CAP) for n in range(lo, hi)), dtype=np.int64, count=hi - lo)
 
 
 def _sortable(keys: np.ndarray) -> np.ndarray:
@@ -132,31 +137,30 @@ class _Blocks:
         self.tail = int(ids[-1])
         return ids, lam, (order, starts, group, gids)
 
-    def finish(self, grouping: tuple, succ: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """Successor counts of the earlier ends of the block, at the chunk
-        positions selected by the mask ``at``; then the chunk's ends, followed
-        by ``succ``, join the counts."""
+    def finish(self, grouping: tuple, succ: np.ndarray, at: np.ndarray, hist: np.ndarray) -> None:
+        """Write the successor counts of the earlier ends of the block into
+        the rows ``at`` (ascending chunk positions) of ``hist``, one column
+        at a time, since numpy writes narrow rows slowly; then the chunk's
+        ends, followed by ``succ``, join the counts."""
         order, starts, group, gids = grouping
         succ_sorted = succ[order]
-        hist = np.zeros((0, self.size), np.int64)
-        if at.any():
+        if len(at):
             rank = np.empty_like(order)
             rank[order] = np.arange(len(order))
             where = rank[at]  # sorted positions of the selected ends
             blocks = group[where]
             first = starts[blocks]
-            hist = self.succ.take(gids[blocks], axis=0)  # counts before the chunk
+            counts = self.succ.take(gids[blocks], axis=0)  # counts before the chunk
             rest = where - first  # earlier ends of the same block inside the chunk
             for s in range(self.size - 1):
                 hit = succ_sorted == s
                 before = np.cumsum(hit) - hit  # hits strictly before each sorted position
                 inside = before[where] - before[first]
-                hist[:, s] += inside
+                hist[at, s] = counts[:, s] + inside
                 rest -= inside
-            hist[:, -1] += rest
+            hist[at, -1] = counts[:, -1] + rest
         per = np.bincount(group * self.size + succ_sorted, minlength=len(starts) * self.size)
         self.succ[gids] += per.reshape(-1, self.size)
-        return hist
 
 
 def _caps(schedules: Schedules, lo: int, hi: int) -> np.ndarray:
@@ -178,28 +182,17 @@ def _thresholds(schedules: Schedules, lo: int, hi: int) -> np.ndarray:
     return need
 
 
-def replay(
-    seq: np.ndarray,
-    size: int,
-    schedules: Schedules,
-    *,
-    histogram: bool = True,
-    chunk: int | None = None,
-) -> Iterator[Replayed]:
+def replay(seq: np.ndarray, size: int, schedules: Schedules) -> Iterator[Replayed]:
     """Estimator state at every position of ``seq`` (symbol indices), one
-    :class:`Replayed` per chunk of ``chunk`` positions (default
-    :func:`chunk_rows`).
+    :class:`Replayed` per chunk of :func:`chunk_rows` positions.
 
     K is evaluated once per position before the replay, to find the longest
     block length any position may match; J once per position as the chunk
-    comes.  Skip the histograms with ``histogram=False``.  A ``chunk``
-    below 1 raises ``ValueError``.
+    comes.
     """
-    if chunk is not None and chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     seq = np.asarray(seq)
     total = len(seq)
-    rows = chunk_rows(size) if chunk is None else chunk
+    rows = chunk_rows(size)
     bounds = [(lo, min(lo + rows, total)) for lo in range(0, total, rows)]
     caps = [_caps(schedules, lo, hi) for lo, hi in bounds]
     k_max = max((int(cap.max()) for cap in caps), default=0)
@@ -226,6 +219,5 @@ def replay(
                 keys = np.concatenate(([before], ids[:-1])) * size + x
         hist = np.zeros((length, size), np.int64)
         for k, (level, grouping) in enumerate(zip(levels, groupings), 1):
-            at = (kappa == k) & histogram  # no rows when the histograms are skipped
-            hist[at] = level.finish(grouping, succ, at)
-        yield Replayed(lo, kappa, matches, hist if histogram else None)
+            level.finish(grouping, succ, np.flatnonzero(kappa == k), hist)
+        yield Replayed(lo, kappa, matches, hist)

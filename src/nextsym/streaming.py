@@ -27,8 +27,9 @@ class StreamingEstimator:
     """Single-writer streaming realization of the forward estimator.
 
     The context-length cap k_max is fixed at construction from the horizon
-    (k_max = K(horizon)); K grows so slowly that this stays tiny for any
-    realistic run, and a fixed cap keeps the push loop branch-free.  Pushing
+    (k_max = min(K(horizon), horizon + 1), since no block is longer than the
+    segment); K grows so slowly that this stays tiny for any realistic run,
+    and a fixed cap keeps the push loop branch-free.  Pushing
     past the horizon raises :class:`CapacityError` instead of silently
     under-indexing longer blocks.
     """
@@ -41,7 +42,7 @@ class StreamingEstimator:
         self.seq = SymbolSequence(alphabet)
         self.schedules = schedules if schedules is not None else Schedules.default(alphabet.size)
         self.horizon = horizon
-        self.k_max = max(1, self.schedules.K(horizon))
+        self.k_max = max(1, min(self.schedules.K(horizon), horizon + 1))
         self.op_count = 0
         self._size = alphabet.size
         self._stats = [{} for _ in range(self.k_max)]  # index k-1 -> {code: stats list}
@@ -80,13 +81,13 @@ class StreamingEstimator:
             return None
         schedules = self.schedules
         k_n = schedules.K(n)
+        if k_n > n + 1:
+            k_n = n + 1
         if k_n > self.k_max:
             raise CapacityError(
                 f"schedule K({n})={k_n} exceeds k_max={self.k_max} fixed at construction"
             )
         j_n = schedules.J(n)
-        if k_n > n + 1:
-            k_n = n + 1
         codes = self._codes
         stats = self._stats
         for k in range(k_n, 0, -1):

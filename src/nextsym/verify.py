@@ -100,7 +100,8 @@ def verify_equivalence(
                 },
             )
 
-        (part,) = kernel.replay(data, size, schedules, chunk=length)
+        parts = [(p.kappa, p.matches, p.hist) for p in kernel.replay(data, size, schedules)]
+        replayed = [np.concatenate(field) for field in zip(*parts)]
         ns, caps, needs = np.arange(length), kernel._caps(schedules, 0, length), kernel._thresholds(schedules, 0, length)
         scanned = np.zeros(length, np.int64), np.zeros(length, np.int64), np.zeros((length, size), np.int64)
         step = max(1, _BLOCK_CELLS // length)
@@ -129,7 +130,7 @@ def verify_equivalence(
             prefixes += len(block)
             for whole, w in zip(scanned, want):
                 whole[block] = w
-        for field, w, g in zip(_FIELDS, scanned, (part.kappa, part.matches, part.hist)):
+        for field, w, g in zip(_FIELDS, scanned, replayed):
             if not np.array_equal(w, g):
                 n = int(np.flatnonzero((w != g).reshape(length, -1).any(axis=1))[0])
                 return fail(n, field, w[n].tolist(), g[n].tolist(), "kernel")

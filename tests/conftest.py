@@ -8,12 +8,19 @@ route.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from nextsym import Alphabet, Schedules
 
+# child processes (``python -m nextsym``) import the package from this checkout too
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
-def brute_times(data, n: int, k: int, count: int | None = None) -> list:
+
+def brute_times(data, n: int, k: int) -> list:
     """All backshifts t >= 1 with data[n-k+1-t..n-t] == data[n-k+1..n], ascending."""
     suffix = list(data[n - k + 1 : n + 1])
     times = []
@@ -21,8 +28,6 @@ def brute_times(data, n: int, k: int, count: int | None = None) -> list:
     while n - k + 1 - t >= 0:
         if list(data[n - k + 1 - t : n - t + 1]) == suffix:
             times.append(t)
-            if count is not None and len(times) == count:
-                break
         t += 1
     return times
 

@@ -424,6 +424,17 @@ class TestLemmas:
         assert "context_divergence: pass" in out
         assert "return_time_bound: pass" in out
 
+    def test_top_level_schedules_serve_the_divergence_check(self, tmp_path, capsys):
+        doc = self.lemmas_doc()
+        doc["schedules"] = doc["divergence"].pop("schedules")
+        assert main(["lemmas", "--config", write_config(tmp_path, doc)]) == 0
+        assert "context_divergence: pass" in capsys.readouterr().out
+        doc["schedules"]["K"] = {"kind": "constant", "value": 17}  # 2^17 blocks
+        assert main(["lemmas", "--config", write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: schedules.K must be small enough")
+
     def test_small_replicates_warns_but_exits_zero(self, tmp_path, capsys):
         doc = self.lemmas_doc()
         doc["resampling"]["replicates"] = 10

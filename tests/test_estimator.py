@@ -27,15 +27,10 @@ def seq_of(alphabet, values):
 class TestRecurrenceTimes:
     def test_spec_examples(self, binary):
         s = seq_of(binary, [0, 1, 0, 1, 0])
-        assert recurrence_times(s, 4, 1, 5) == [2, 4]
-        assert recurrence_times(s, 4, 2, 5) == [2]
+        assert recurrence_times(s, 4, 1) == [2, 4]
+        assert recurrence_times(s, 4, 2) == [2]
         s2 = seq_of(binary, [0, 0, 0, 0])
-        assert recurrence_times(s2, 3, 1, 10) == [1, 2, 3]
-
-    def test_count_truncation(self, binary):
-        s = seq_of(binary, [0, 0, 0, 0, 0])
-        assert recurrence_times(s, 4, 1, 2) == [1, 2]
-        assert recurrence_times(s, 4, 1) == [1, 2, 3, 4]
+        assert recurrence_times(s2, 3, 1) == [1, 2, 3]
 
     def test_domain_errors(self, binary):
         s = seq_of(binary, [0, 1])
@@ -45,8 +40,6 @@ class TestRecurrenceTimes:
             recurrence_times(s, 1, 0)
         with pytest.raises(ValueError):
             recurrence_times(s, 5, 1)
-        with pytest.raises(ValueError):
-            recurrence_times(s, 1, 1, count=0)
 
     @given(
         data=st.lists(st.integers(0, 2), min_size=1, max_size=40),
@@ -92,6 +85,12 @@ class TestKappaLambda:
         (part,) = kernel.replay(s.as_array(), 2, no_context)
         assert not part.kappa.any() and not part.matches.any() and not part.hist.any()
         assert verify_equivalence(cases=20, max_n=60, seed=4, schedules_for=lambda size: no_context).ok
+
+    @pytest.mark.parametrize(
+        "K, J", [(ConstantSchedule(3), lambda n: 2**70), (lambda n: 2**70, ConstantSchedule(1))], ids=["J", "K"]
+    )
+    def test_schedules_past_int64_agree_on_every_route(self, K, J):
+        assert verify_equivalence(cases=3, max_n=60, schedules_for=lambda size: Schedules(K, J)).ok
 
     def test_threshold_property(self):
         # kappa > 0 implies at least J(n) matches of the selected block

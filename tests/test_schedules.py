@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nextsym import Schedules, schedule_J
-from nextsym.estimator import ConstantSchedule, LinearJ, LogK
+from nextsym.estimator import SCHEDULE_CAP, ConstantSchedule, LinearJ, LogK
 from nextsym.kernel import schedule_values
 
 
@@ -102,6 +102,9 @@ class TestLogK:
             while (step - 1) ** 3 >= 3 ** (10 * m):
                 step -= 1
             assert sch(step) == m and sch(step - 1) == m - 1
+        # a repr in exponent form, 1e-05 and 2.5e-05, scales the denominator
+        assert (LogK(3, 1e-05)._p, LogK(3, 1e-05)._q) == (1, 100000)
+        assert (LogK(3, 2.5e-05)._p, LogK(3, 2.5e-05)._q) == (1, 40000)
 
     @pytest.mark.parametrize("coeff, p, q", [(0.1, 1, 10), (0.25, 1, 4), (0.37, 37, 100), (1.5, 3, 2), (2.0, 2, 1)])
     def test_matches_integer_definition(self, coeff, p, q):
@@ -152,6 +155,11 @@ SCHEDULES = {
 def test_schedule_values_equal_scalar_calls(name, lo, hi):
     fn = SCHEDULES[name]
     assert schedule_values(fn, lo, hi).tolist() == [fn(n) for n in range(lo, hi)]
+
+
+def test_callable_values_saturate_past_int64():
+    # a schedule without a values method is called per n and saturates as LinearJ does
+    assert schedule_values(lambda n: 2**70, 1, 4).tolist() == [SCHEDULE_CAP] * 3
 
 
 def test_sqrt_values_exact_at_squares():

@@ -14,6 +14,7 @@ from nextsym import (
     estimate_distribution,
     recurrence_times,
 )
+from nextsym.estimator import ConstantSchedule, probe
 
 
 def fed(alphabet, values, schedules=None, horizon=None):
@@ -54,6 +55,17 @@ class TestPush:
             est_bad.push(v)
         with pytest.raises(CapacityError):
             est_bad.probe()
+
+    def test_cap_past_the_segment_is_clipped(self, binary):
+        # K = 10^5 at horizon 100: no block is longer than the 101-symbol segment
+        sch = Schedules(K=ConstantSchedule(10**5), J=lambda n: 1)
+        est = StreamingEstimator(binary, sch, horizon=100)
+        assert est.k_max == 101
+        data = np.random.default_rng(3).integers(0, 2, 101).tolist()
+        seq = SymbolSequence(binary, data)
+        for n, x in enumerate(data):
+            est.push(x)
+            assert est.probe() == probe(seq, n, sch), n
 
 
 class TestQueries:

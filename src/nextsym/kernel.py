@@ -25,6 +25,7 @@ scanning evaluator and the streaming index bit for bit;
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -61,17 +62,14 @@ def schedule_values(fn: Callable[[int], int], lo: int, hi: int) -> np.ndarray:
     """fn(n) for every n in [lo, hi) as an exact int64 array.
 
     Schedules with a ``values`` method use it; any other callable is called
-    once per n.  If a value does not fit in int64, the values saturate at
-    ``SCHEDULE_CAP``, as ``LinearJ``'s do: no count or length reaches that
-    cap, so the saturated schedule decides as the exact one.
+    once per n, its values saturating at ``SCHEDULE_CAP`` as ``LinearJ``'s
+    do: no count or length reaches that cap, so the saturated schedule
+    decides as the exact one.
     """
     values = getattr(fn, "values", None)
     if values is not None:
         return values(lo, hi)
-    try:
-        return np.fromiter(map(fn, range(lo, hi)), dtype=np.int64, count=hi - lo)
-    except OverflowError:  # the saturating pass is slower, so it runs only when needed
-        return np.fromiter((min(fn(n), SCHEDULE_CAP) for n in range(lo, hi)), dtype=np.int64, count=hi - lo)
+    return np.fromiter(map(min, map(fn, range(lo, hi)), repeat(SCHEDULE_CAP)), dtype=np.int64, count=hi - lo)
 
 
 def _sortable(keys: np.ndarray) -> np.ndarray:

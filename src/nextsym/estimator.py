@@ -377,6 +377,9 @@ def payoff_means(hist: np.ndarray, values: Sequence[float], matches: np.ndarray)
     return np.where(matches > 0, mean, 0.0)
 
 
+_SLAB_CELLS = 1 << 14  # about this many mask cells per histogram product: bounds its float64 copy of the mask
+
+
 def _scan(arr: np.ndarray, ns: np.ndarray, caps: np.ndarray, needs: np.ndarray, size: int) -> tuple:
     """The scanning evaluator at the ascending positions ``ns``, all at once.
 
@@ -388,6 +391,14 @@ def _scan(arr: np.ndarray, ns: np.ndarray, caps: np.ndarray, needs: np.ndarray, 
     positions, and after each length the columns no row matches are dropped:
     one row does the work of one narrowing per length.  Array methods and ufunc
     reductions replace module-level wrappers, whose overhead rules a one-row scan.
+
+    The histogram of a group is the product of its mask with the one-hot
+    columns of the symbols after its ends, in float64: exact while every
+    count stays below 2^53, which no sequence held in memory reaches.  The
+    product reads a float64 copy of the mask, so a group of more than
+    ``_SLAB_CELLS`` cells is multiplied in slabs of rows of about that many
+    cells (one row when a row alone is longer); a group that fits, such as
+    every one-row call, takes a single product.
 
     Returns ``(kappa, matches, hist, ends)``.  ``hist`` has ``size`` columns,
     none for a caller that needs only the ends.  ``ends`` holds one
@@ -418,7 +429,13 @@ def _scan(arr: np.ndarray, ns: np.ndarray, caps: np.ndarray, needs: np.ndarray, 
             go &= cap > k
         kappa[rows], matches[rows] = depth, np.add.reduce(mask, 1)
         if size:
-            hist[rows] = mask @ (arr[cols + 1][:, None] == np.arange(size)).astype(float)  # exact below 2^53
+            onehot = (arr[cols + 1][:, None] == np.arange(size)).astype(float)
+            step = _SLAB_CELLS // (len(cols) + 1) + 1
+            if len(rows) <= step:  # one product, without the slab bookkeeping a one-row call would pay for
+                hist[rows] = mask @ onehot
+            else:
+                for lo in range(0, len(rows), step):
+                    hist[rows[lo : lo + step]] = mask[lo : lo + step] @ onehot
         ends.append((rows, cols, mask))
     return kappa, matches, hist, ends
 

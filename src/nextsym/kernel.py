@@ -139,7 +139,7 @@ class _Blocks:
         """Write the successor counts of the earlier ends of the block into
         the rows ``at`` (ascending chunk positions) of ``hist``, one column
         at a time, since numpy writes narrow rows slowly; then the chunk's
-        ends, followed by ``succ``, join the counts."""
+        ends, followed by ``succ``, join the counts, column by column too."""
         order, starts, group, gids = grouping
         succ_sorted = succ[order]
         if len(at):
@@ -157,8 +157,9 @@ class _Blocks:
                 hist[at, s] = counts[:, s] + inside
                 rest -= inside
             hist[at, -1] = counts[:, -1] + rest
-        per = np.bincount(group * self.size + succ_sorted, minlength=len(starts) * self.size)
-        self.succ[gids] += per.reshape(-1, self.size)
+        per = np.bincount(group * self.size + succ_sorted, minlength=len(starts) * self.size).reshape(-1, self.size)
+        for s in range(self.size):
+            self.succ[gids, s] += per[:, s]
 
 
 def _caps(schedules: Schedules, lo: int, hi: int) -> np.ndarray:

@@ -373,8 +373,10 @@ class TestVerify:
         monkeypatch.setattr(verify, "_scan", counted)
         report = verify_equivalence(cases=2, max_n=2000, seed=3)
         assert report.ok and sum(rows for rows, _ in blocks) == report.prefixes_checked
-        # every prefix is scanned once, in blocks of at most 2^17 rows x length: 65 rows or more at length <= 2000
-        assert all(rows * length <= 1 << 17 for rows, length in blocks) and len(blocks) <= 2 * -(-2000 // 65)
+        # every prefix is scanned once, in blocks of at most _BLOCK_CELLS rows x length: so a case of
+        # length <= 2000 is scanned in blocks of _BLOCK_CELLS // 2000 rows or more
+        cells = verify._BLOCK_CELLS
+        assert all(rows * length <= cells for rows, length in blocks) and len(blocks) <= 2 * -(-2000 // (cells // 2000))
 
     def test_trivial_max_n(self):
         report = verify_equivalence(cases=3, max_n=1, seed=1)

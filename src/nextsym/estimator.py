@@ -377,7 +377,8 @@ def payoff_means(hist: np.ndarray, values: Sequence[float], matches: np.ndarray)
     return np.where(matches > 0, mean, 0.0)
 
 
-_SLAB_CELLS = 1 << 14  # about this many mask cells per histogram product: bounds its float64 copy of the mask
+_SLAB_CELLS = 1 << 14  # about this many mask cells per histogram product: bounds its float32 copy of the mask
+_FLOAT32_COLS = 1 << 24  # below this many columns every partial sum of the product is an integer float32 holds
 
 
 def _scan(arr: np.ndarray, ns: np.ndarray, caps: np.ndarray, needs: np.ndarray, size: int) -> tuple:
@@ -393,12 +394,16 @@ def _scan(arr: np.ndarray, ns: np.ndarray, caps: np.ndarray, needs: np.ndarray, 
     reductions replace module-level wrappers, whose overhead rules a one-row scan.
 
     The histogram of a group is the product of its mask with the one-hot
-    columns of the symbols after its ends, in float64: exact while every
-    count stays below 2^53, which no sequence held in memory reaches.  The
-    product reads a float64 copy of the mask, so a group of more than
-    ``_SLAB_CELLS`` cells is multiplied in slabs of rows of about that many
-    cells (one row when a row alone is longer); a group that fits, such as
-    every one-row call, takes a single product.
+    columns of the symbols after its ends, in float32 while the group has
+    fewer than ``_FLOAT32_COLS`` (2^24) columns: every partial sum is then an
+    integer below 2^24, which float32 holds exactly.  A group with more
+    columns, such as a one-row call deep into a long sequence, takes float64,
+    exact below 2^53.  The product reads a float copy of the mask, so a group
+    of more than ``_SLAB_CELLS`` cells is multiplied in slabs of rows of about
+    that many cells (one row when a row alone is longer); a group that fits,
+    such as every one-row call, takes a single product.  Every end e < n has
+    a successor, so a row's match count is its histogram total, summed once
+    after the groups; only a call without a histogram counts the mask.
 
     Returns ``(kappa, matches, hist, ends)``.  ``hist`` has ``size`` columns,
     none for a caller that needs only the ends.  ``ends`` holds one
@@ -427,9 +432,12 @@ def _scan(arr: np.ndarray, ns: np.ndarray, caps: np.ndarray, needs: np.ndarray, 
             used = np.logical_or.reduce(mask, 0)
             cols, mask, k = cols[used], mask.compress(used, axis=1), k + 1
             go &= cap > k
-        kappa[rows], matches[rows] = depth, np.add.reduce(mask, 1)
-        if size:
-            onehot = (arr[cols + 1][:, None] == np.arange(size)).astype(float)
+        kappa[rows] = depth
+        if not size:
+            matches[rows] = np.add.reduce(mask, 1)
+        else:
+            exact = np.float32 if len(cols) < _FLOAT32_COLS else np.float64
+            onehot = (arr[cols + 1][:, None] == np.arange(size)).astype(exact)
             step = _SLAB_CELLS // (len(cols) + 1) + 1
             if len(rows) <= step:  # one product, without the slab bookkeeping a one-row call would pay for
                 hist[rows] = mask @ onehot
@@ -437,6 +445,8 @@ def _scan(arr: np.ndarray, ns: np.ndarray, caps: np.ndarray, needs: np.ndarray, 
                 for lo in range(0, len(rows), step):
                     hist[rows[lo : lo + step]] = mask[lo : lo + step] @ onehot
         ends.append((rows, cols, mask))
+    if size:
+        matches = hist.sum(1)
     return kappa, matches, hist, ends
 
 

@@ -14,7 +14,7 @@ injective for a fixed length, so no hashing of symbol slices is involved.
 from __future__ import annotations
 
 from .estimator import DistributionEstimate, EstimateResult, PayoffFunction, Schedules
-from .sequences import Alphabet, SymbolSequence
+from .sequences import Alphabet
 
 __all__ = ["StreamingEstimator", "CapacityError"]
 
@@ -32,18 +32,19 @@ class StreamingEstimator:
     and a fixed cap keeps the push loop branch-free.  Pushing
     past the horizon raises :class:`CapacityError` instead of silently
     under-indexing longer blocks.
+
+    ``seq`` is a ``bytearray`` of the pushed symbol indices.
     """
 
-    __slots__ = ("seq", "schedules", "horizon", "k_max", "op_count", "_stats", "_codes", "_size")
+    __slots__ = ("seq", "schedules", "horizon", "k_max", "_stats", "_codes", "_size")
 
     def __init__(self, alphabet: Alphabet, schedules: Schedules | None = None, horizon: int = 1 << 20):
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        self.seq = SymbolSequence(alphabet)
+        self.seq = bytearray()
         self.schedules = schedules if schedules is not None else Schedules.default(alphabet.size)
         self.horizon = horizon
         self.k_max = max(1, min(self.schedules.K(horizon), horizon + 1))
-        self.op_count = 0
         self._size = alphabet.size
         self._stats = [{} for _ in range(self.k_max)]  # index k-1 -> {code: stats list}
         self._codes = [0] * self.k_max  # rolling code of the suffix of length k (index k-1)
@@ -54,24 +55,31 @@ class StreamingEstimator:
         m = len(self.seq)
         if m > self.horizon:
             raise CapacityError(f"horizon {self.horizon} exhausted")
-        self.seq.append(symbol_index)  # checks the range before any count changes
         size = self._size
+        if not 0 <= symbol_index < size:  # before any count changes
+            raise ValueError(f"symbol index {symbol_index} outside alphabet of size {size}")
+        self.seq.append(symbol_index)
         codes = self._codes
         k_max = self.k_max
         record = m if m < k_max else k_max
+        stats = self._stats
         for i in range(record):  # i = k-1; block of length k ends at m-1 once m >= k
-            stats = self._stats[i]
-            code = codes[i]
-            cell = stats.get(code)
+            cell = stats[i].get(codes[i])
             if cell is None:
-                cell = [0] * size
-                stats[code] = cell
+                cell = stats[i][codes[i]] = [0] * size
             cell[symbol_index] += 1
         for i in range(k_max - 1, 0, -1):  # roll codes to end at m
             codes[i] = codes[i - 1] * size + symbol_index
         codes[0] = symbol_index
-        self.op_count += record + k_max
         return m
+
+    @property
+    def op_count(self) -> int:
+        """Index updates so far: the m-th push (from 0) credits min(m, k_max)
+        blocks and rolls k_max codes."""
+        pushes, k_max = len(self.seq), self.k_max
+        short = min(pushes, k_max)
+        return short * (short - 1) // 2 + (pushes - short) * k_max + pushes * k_max
 
     def probe(self):
         """Query: (context_len, matches, successor histogram) for the current

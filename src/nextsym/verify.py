@@ -151,7 +151,8 @@ def _list_defects(arr: np.ndarray, ns: np.ndarray, kappa: np.ndarray, matches: n
 
     No check depends on the order in which a row lists its ends, so a group
     whose columns are not strictly ascending is sorted first; the codes do not
-    change.  Then only the count reduces the whole mask.  An end below
+    change.  Then only the count reduces the whole mask, against the scan's
+    ``matches``, which are its histogram totals.  An end below
     kappa - 1 can only lie in the columns below the group's largest kappa - 1,
     and an end at or past n only in the columns from the group's smallest n
     on, so the range check reads those two column ranges.  The window check

@@ -259,6 +259,69 @@ def test_list_defects_equals_the_full_mask_form(size, length, which, skew, seed)
             assert code.tolist() == _full_mask_defects(arr, block, kappa, counts, changed).tolist(), (how, recount)
 
 
+def _scan_case(size: int, length: int, which: str, skew: bool, seed: int) -> tuple:
+    """A random row block of a random sequence, as ``_scan``'s arguments."""
+    rng = np.random.default_rng(seed)
+    probs = np.array([8.0] + [1.0] * (size - 1)) if skew else np.ones(size)
+    arr = rng.choice(size, length, p=probs / probs.sum()).astype(np.uint8)
+    sch = _SCAN_SCHEDULES[which](size)
+    lo = int(rng.integers(length))
+    block = np.arange(lo, int(rng.integers(lo, length)) + 1)
+    return arr, block, kernel._caps(sch, 0, length)[block], kernel._thresholds(sch, 0, length)[block], size
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    size=st.integers(2, 4),
+    length=st.integers(1, 120),
+    which=st.sampled_from(sorted(_SCAN_SCHEDULES)),
+    skew=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scan_counts_are_the_mask_counts(size, length, which, skew, seed):
+    # the counts are the histogram totals; they equal the listed ends on every row
+    args = _scan_case(size, length, which, skew, seed)
+    _, matches, hist, ends = _scan(*args)
+    assert matches.tolist() == hist.sum(axis=1).tolist()
+    for rows, _, mask in ends:
+        assert matches[rows].tolist() == np.add.reduce(mask, 1).tolist()
+
+
+def test_list_defects_recounts_a_histogram_formed_apart():
+    # a scan whose histogram misses one listed end: the count taken from its totals is one short
+    arr, block, caps, needs, size = _scan_case(3, 300, "default", True, 5)
+    kappa, _, hist, ends = _scan(arr, block, caps, needs, size)
+    rows, cols, mask = max(ends, key=lambda e: e[2].sum())
+    r = int(np.argmax(mask.sum(axis=1)))
+    hist[rows[r], arr[cols[mask[r]][-1] + 1]] -= 1  # the product over the row's mask without its last end
+    code = verify._list_defects(arr, block, kappa, hist.sum(axis=1), ends)
+    assert code[rows[r]] == 3 and np.count_nonzero(code) == 1
+
+
+@pytest.mark.parametrize("which", sorted(_SCAN_SCHEDULES))
+def test_float32_product_equals_float64(monkeypatch, which):
+    # a skewed 700-symbol sequence scanned whole, in a 300-row block and in one-row calls: the
+    # float32 product gives the same kappa, counts, histograms and ends as the float64 one
+    rng = np.random.default_rng(12)
+    arr = rng.choice(3, 700, p=[0.8, 0.1, 0.1]).astype(np.uint8)
+    sch = _SCAN_SCHEDULES[which](3)
+    ns = np.arange(len(arr))
+    caps, needs = kernel._caps(sch, 0, len(arr)), kernel._thresholds(sch, 0, len(arr))
+    blocks = [ns, ns[:1], ns[350:351], ns[-1:], ns[100:400]]
+
+    def scans():
+        out = []
+        for block in blocks:
+            kappa, matches, hist, ends = _scan(arr, block, caps[block], needs[block], 3)
+            listed = [cols[row].tolist() for _, cols, mask in ends for row in mask]
+            out.append((kappa.tolist(), matches.tolist(), hist.tolist(), listed))
+        return out
+
+    narrow = scans()
+    monkeypatch.setattr(estimator, "_FLOAT32_COLS", 0)
+    assert scans() == narrow
+
+
 def test_block_scan_histograms_across_slabs():
     # one call over every prefix of a skewed 700-symbol sequence: the larger group's mask spans
     # many slabs of the histogram product, and every row still equals the brute histogram and
@@ -277,9 +340,10 @@ def test_block_scan_histograms_across_slabs():
 
 
 def test_block_scan_memory_is_bounded_per_slab():
-    # one row block of the verify suite's size over a skewed 2,000-symbol sequence: the float64
+    # one row block of the verify suite's size over a skewed 2,000-symbol sequence: the float32
     # product copies at most a slab of the mask at a time.  Peaks measured on seeds 0-3 were
-    # 0.60-0.61 MiB (a product over the whole mask read 3.7 MiB); the limit leaves a 65% margin.
+    # 0.60-0.61 MiB with the float64 product and 0.54-0.55 MiB with the float32 one (a float64
+    # product over the whole mask read 3.7 MiB); the limit leaves a 65% margin or more.
     rng = np.random.default_rng(4)
     arr = rng.choice(2, 2000, p=[0.9, 0.1]).astype(np.uint8)
     sch = Schedules.default(2)

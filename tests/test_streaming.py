@@ -35,6 +35,14 @@ class TestPush:
             est.push(2)
         with pytest.raises(ValueError):
             est.push(-1)
+        # a rejected push changes nothing: no symbol, no count, no key
+        for v in [0, 1, 0]:
+            est.push(v)
+        before = (len(est.seq), est.stored_keys(), est.op_count, est.probe())
+        for bad in (2, -1):
+            with pytest.raises(ValueError, match=f"symbol index {bad} outside alphabet of size 2"):
+                est.push(bad)
+            assert (len(est.seq), est.stored_keys(), est.op_count, est.probe()) == before
 
     def test_capacity_error_past_horizon(self, binary):
         est = StreamingEstimator(binary, horizon=2)
@@ -137,6 +145,15 @@ class TestResourceContracts:
             est.push(x)
         assert est.k_max == 4
         assert est.op_count <= 2 * n_pushes * est.k_max
+
+    @pytest.mark.parametrize("k_max", [1, 2, 5])
+    def test_op_count_is_the_per_push_sum(self, binary, k_max):
+        # the m-th push (from 0) credits min(m, k_max) blocks and rolls k_max codes
+        est = StreamingEstimator(binary, Schedules(K=ConstantSchedule(k_max), J=lambda n: 1), horizon=20)
+        assert est.k_max == k_max and est.op_count == 0
+        for m, x in enumerate(np.random.default_rng(k_max).integers(0, 2, 12).tolist()):
+            est.push(x)
+            assert est.op_count == sum(min(i, k_max) + k_max for i in range(m + 1)), m
 
     def test_memory_bound_on_stored_keys(self):
         alphabet = Alphabet.of_size(3)

@@ -68,6 +68,15 @@ class SqrtJ:
 schedule_J = SqrtJ()
 
 
+def _schedule_value(schedule: Callable[[int], int], n: int) -> int:
+    """schedule(n) as an int; any value that is no integer, a float as well, raises."""
+    value = schedule(n)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"schedule {schedule!r} gave {value!r} at n={n}, which is not an integer") from None
+
+
 @dataclass(frozen=True)
 class Schedules:
     """Growth schedules: K caps the context length, J is the occurrence
@@ -75,8 +84,8 @@ class Schedules:
 
     Both must be nondecreasing and tend to infinity for the consistency
     results to apply (and J(n)/n -> 0 for the context length to diverge).
-    Custom schedules are accepted; the defaults are ``LogK(|A|, 0.1)``, that
-    is K(n) = max(1, floor(0.1 * log_|A|(n))), and ``schedule_J``.  A
+    Custom schedules must return integers; the defaults are ``LogK(|A|, 0.1)``,
+    that is K(n) = max(1, floor(0.1 * log_|A|(n))), and ``schedule_J``.  A
     schedule object may also define ``values(lo, hi)``, its values for n in
     [lo, hi) as an int64 array, which the replay kernel then uses instead of
     one call per n.
@@ -207,7 +216,10 @@ class ConstantSchedule:
     __slots__ = ("value",)
 
     def __init__(self, value: int):
-        self.value = value
+        try:
+            self.value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"ConstantSchedule value must be an integer, got {value!r}") from None
 
     def __call__(self, n: int) -> int:
         if n < 1:
@@ -256,6 +268,8 @@ class PayoffFunction:
         if len(self.values) != self.alphabet.size:
             raise ValueError("payoff must assign a value to every symbol")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if not all(map(math.isfinite, self.values)):
+            raise ValueError(f"payoff values must be finite, got {self.values!r}")
 
     @classmethod
     def from_map(cls, alphabet: Alphabet, mapping: dict) -> "PayoffFunction":
@@ -334,9 +348,9 @@ def probe(seq: SymbolSequence, n: int, schedules: Schedules):
     the scanning counterpart of :meth:`~nextsym.streaming.StreamingEstimator.probe`,
     as a one-row call of :func:`_scan`."""
     _check_position(seq, n)
-    if n == 0 or (cap := min(schedules.K(n), n + 1)) < 1:
+    if n == 0 or (cap := min(_schedule_value(schedules.K, n), n + 1)) < 1:
         return None
-    need = min(max(schedules.J(n), 1), n + 1)  # no count exceeds n, so the clamp decides as J(n) does
+    need = min(max(_schedule_value(schedules.J, n), 1), n + 1)  # no count exceeds n, so the clamp decides as J(n) does
     kappa, matches, hist, _ = _scan(seq.as_array(), np.array([n]), np.array([cap]), np.array([need]), seq.alphabet.size)
     return (int(kappa[0]), int(matches[0]), hist[0].tolist()) if kappa[0] else None
 

@@ -108,6 +108,12 @@ class ExperimentConfig:
                 raise ValueError(f"epsilons[{i}] must be in (0, 1] for indicator payoffs, got {eps!r}")
         if self.payoff is not None and self.payoff.alphabet != self.spec.alphabet:
             raise ValueError("payoff alphabet does not match the process alphabet")
+        max_abs = max(map(abs, self.payoff.values)) if self.payoff is not None else 0.0
+        if not math.isfinite(2 * max_abs * (self.horizon + 1)):  # bounds every payoff and Cesaro sum: no inf or nan
+            raise ValueError(
+                f"payoff.values must be small enough that 2 * max|v| * (horizon + 1) is finite, "
+                f"got max|v| = {max_abs!r} at horizon {self.horizon}"
+            )
         return replace(self, schedules=schedules, eval_grid=grid, epsilons=tuple(self.epsilons))
 
 

@@ -30,7 +30,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .estimator import SCHEDULE_CAP, Schedules
+from .estimator import SCHEDULE_CAP, Schedules, _schedule_value
 
 __all__ = ["CHUNK", "Replayed", "chunk_rows", "replay", "schedule_values"]
 
@@ -64,12 +64,13 @@ def schedule_values(fn: Callable[[int], int], lo: int, hi: int) -> np.ndarray:
     Schedules with a ``values`` method use it; any other callable is called
     once per n, its values saturating at ``SCHEDULE_CAP`` as ``LinearJ``'s
     do: no count or length reaches that cap, so the saturated schedule
-    decides as the exact one.
+    decides as the exact one.  A value that is no integer raises.
     """
     values = getattr(fn, "values", None)
     if values is not None:
         return values(lo, hi)
-    return np.fromiter(map(min, map(fn, range(lo, hi)), repeat(SCHEDULE_CAP)), dtype=np.int64, count=hi - lo)
+    checked = map(_schedule_value, repeat(fn), range(lo, hi))
+    return np.fromiter(map(min, checked, repeat(SCHEDULE_CAP)), dtype=np.int64, count=hi - lo)
 
 
 def _sortable(keys: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
-"""Finite alphabets and append-only symbol sequences.
+"""Finite alphabets and immutable symbol sequences.
 
 Symbols are stored internally as indices 0..size-1 (one byte each), so
-sequences of a few million symbols stay cheap to hold and iterate.
+sequences of a few million symbols stay cheap to hold, iterate and share.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -66,31 +67,28 @@ class Alphabet:
 
 
 class SymbolSequence:
-    """Growable sequence of symbol indices; existing entries never change.
+    """A finished data segment of symbol indices, held once as ``bytes``.
 
-    ``seq[n]`` is the symbol index at time n (zero-based).  There is
-    deliberately no item assignment: the data segment only ever extends.
-    """
+    ``seq[n]`` is the symbol index at time n (zero-based), a Python int.
+    Every reader shares one read-only ``uint8`` view of the data."""
 
-    __slots__ = ("alphabet", "_data")
+    __slots__ = ("alphabet", "_data", "_array")
 
     def __init__(self, alphabet: Alphabet, values: Iterable[int] = ()):
+        if isinstance(values, (bytes, bytearray)):
+            arr = np.frombuffer(values, np.uint8)
+        else:  # by value, a numpy array as a list: never by a wider array's raw bytes, and no float is an index
+            arr = np.fromiter(map(operator.index, values), np.int64)
+        if arr.size and (arr.min() < 0 or arr.max() >= alphabet.size):
+            bad = int(np.flatnonzero((arr < 0) | (arr >= alphabet.size))[0])
+            raise ValueError(f"symbol index {arr[bad]} at position {bad} outside alphabet")
         self.alphabet = alphabet
-        data = bytearray(values)
-        # the view is a temporary: a live export would stop append() from resizing data
-        if data and np.frombuffer(data, np.uint8).max() >= alphabet.size:
-            bad = next(i for i, v in enumerate(data) if v >= alphabet.size)
-            raise ValueError(f"symbol index {data[bad]} at position {bad} outside alphabet")
-        self._data = data
-
-    def append(self, index: int) -> None:
-        if not 0 <= index < self.alphabet.size:
-            raise ValueError(f"symbol index {index} outside alphabet of size {self.alphabet.size}")
-        self._data.append(index)
+        self._data = arr.astype(np.uint8, copy=False).tobytes()
+        self._array = np.frombuffer(self._data, np.uint8)  # read-only, since bytes are
 
     def as_array(self) -> np.ndarray:
-        """Snapshot copy of the data as a uint8 array (safe to keep around)."""
-        return np.frombuffer(bytes(self._data), dtype=np.uint8)
+        """The data as a read-only uint8 array, the same one on every call."""
+        return self._array
 
     def __len__(self) -> int:
         return len(self._data)

@@ -13,7 +13,7 @@ injective for a fixed length, so no hashing of symbol slices is involved.
 
 from __future__ import annotations
 
-from .estimator import DistributionEstimate, EstimateResult, PayoffFunction, Schedules
+from .estimator import DistributionEstimate, EstimateResult, PayoffFunction, Schedules, _schedule_value
 from .sequences import Alphabet
 
 __all__ = ["StreamingEstimator", "CapacityError"]
@@ -44,7 +44,8 @@ class StreamingEstimator:
         self.seq = bytearray()
         self.schedules = schedules if schedules is not None else Schedules.default(alphabet.size)
         self.horizon = horizon
-        self.k_max = max(1, min(self.schedules.K(horizon), horizon + 1))
+        self.k_max = max(1, min(_schedule_value(self.schedules.K, horizon), horizon + 1))
+        _schedule_value(self.schedules.J, horizon)  # K and J give integers: checked once, off the push and probe loops
         self._size = alphabet.size
         self._stats = [{} for _ in range(self.k_max)]  # index k-1 -> {code: stats list}
         self._codes = [0] * self.k_max  # rolling code of the suffix of length k (index k-1)

@@ -462,6 +462,11 @@ class TestPayoffFunction:
         with pytest.raises(ValueError):
             PayoffFunction(binary, (1.0,))
 
+    @pytest.mark.parametrize("values", [(float("nan"), 1.0), (1.0, float("inf")), (-float("inf"), 0.0)])
+    def test_non_finite_values_rejected(self, binary, values):
+        with pytest.raises(ValueError, match="payoff values must be finite"):
+            PayoffFunction(binary, values)
+
 
 class TestSequences:
     def test_alphabet_validation(self):
@@ -475,17 +480,35 @@ class TestSequences:
             a.encode("z")
 
     def test_sequence_append_only_and_validation(self, binary):
-        s = SymbolSequence(binary)
-        for x in (1, 0, 1):
-            s.append(x)
+        s = SymbolSequence(binary, [1, 0, 1])
         assert list(s) == [1, 0, 1] and len(s) == 3
         assert s[0:2] == (1, 0)
         with pytest.raises(ValueError):
-            s.append(2)
-        with pytest.raises(ValueError):
             SymbolSequence(binary, [0, 3])
         assert not hasattr(s, "__setitem__")
-        # the range check at construction must not keep the data exported, or appends could not resize it
-        t = SymbolSequence(binary, bytes(4096))
-        t.append(1)
-        assert len(t) == 4097 and t[4096] == 1
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_integer_array_read_by_value(self, binary, dtype):
+        # by value, not by raw bytes: the 3 values of an int64 array are 24 bytes
+        s = SymbolSequence(binary, np.array([1, 0, 1], dtype=dtype))
+        assert len(s) == 3 and list(s) == [1, 0, 1]
+        assert type(s[0]) is int and all(type(x) is int for x in s)
+
+    @pytest.mark.parametrize("values, bad, at", [([0, 1, -1], -1, 2), ([0, 2], 2, 1), ([1, 0, 300], 300, 2)])
+    @pytest.mark.parametrize("wrap", [list, np.array])
+    def test_index_outside_alphabet_named_with_its_position(self, binary, values, bad, at, wrap):
+        with pytest.raises(ValueError, match=f"symbol index {bad} at position {at} outside alphabet"):
+            SymbolSequence(binary, wrap(values))
+
+    @pytest.mark.parametrize("values", [[1.0, 0.0], np.array([1.0, 0.0]), np.zeros((2, 2), np.int64)])
+    def test_non_integer_values_rejected(self, binary, values):
+        with pytest.raises(TypeError):
+            SymbolSequence(binary, values)
+
+    def test_as_array_is_one_shared_read_only_array(self, binary):
+        s = SymbolSequence(binary, bytes([1, 0, 1]))
+        arr = s.as_array()
+        assert arr is s.as_array() and arr.dtype == np.uint8 and arr.tolist() == [1, 0, 1]
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+        assert list(s) == [1, 0, 1]

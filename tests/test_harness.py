@@ -75,6 +75,13 @@ class TestConfig:
                 spec=COIN, horizon=10, replicates=1, payoff=PayoffFunction.indicator(Alphabet("ab"), "a")
             ).resolved()
 
+    def test_payoff_sums_must_stay_finite(self):
+        # 2 * 1e308 * 65 overflows, so the estimate, error and Cesaro mean would all be nan
+        big, small = PayoffFunction(BINARY, (1e308, -1e308)), PayoffFunction(BINARY, (1e300, -1e300))
+        with pytest.raises(ValueError, match=r"2 \* max\|v\| \* \(horizon \+ 1\) is finite"):
+            run_experiment(ExperimentConfig(spec=COIN, horizon=64, replicates=1, payoff=big))
+        ExperimentConfig(spec=COIN, horizon=64, replicates=1, payoff=small).resolved()
+
 
 class TestRunExperiment:
     def test_rows_sorted_and_complete(self):

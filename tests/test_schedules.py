@@ -1,9 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
-from nextsym import Schedules, schedule_J
-from nextsym.estimator import SCHEDULE_CAP, ConstantSchedule, LinearJ, LogK
+from nextsym import (
+    Alphabet,
+    ExperimentConfig,
+    IIDProcess,
+    Schedules,
+    SymbolSequence,
+    run_experiment,
+    schedule_J,
+    verify_equivalence,
+)
+from nextsym.estimator import SCHEDULE_CAP, ConstantSchedule, LinearJ, LogK, probe
 from nextsym.kernel import schedule_values
+from nextsym.streaming import StreamingEstimator
 
 
 def integer_log_floor(n: int, base: int) -> int:
@@ -166,3 +178,39 @@ def test_sqrt_values_exact_at_squares():
     squares = [(10**6) ** 2, (2**26 + 1) ** 2, (3**15) ** 2]
     for sq in squares:
         assert schedule_values(schedule_J, sq - 2, sq + 3).tolist() == [schedule_J(n) for n in range(sq - 2, sq + 3)]
+
+
+class TestNonIntegerValuesRefused:
+    """A schedule value that is no integer raises on every route, so no route
+    truncates it while another compares it as a float."""
+
+    def test_constant_schedule(self):
+        with pytest.raises(ValueError, match="ConstantSchedule value must be an integer, got 2.5"):
+            ConstantSchedule(2.5)
+        assert type(ConstantSchedule(np.int64(3)).value) is int
+
+    def test_per_call_fallback_checks_every_n(self):
+        with pytest.raises(ValueError, match="gave 1.5 at n=3"):
+            schedule_values(lambda n: 1.5 if n == 3 else 1, 1, 10)
+        assert schedule_values(lambda n: np.int64(n), 1, 4).tolist() == [1, 2, 3]
+
+    def test_probe(self):
+        seq = SymbolSequence(Alphabet.of_size(2), [0, 1] * 6)
+        with pytest.raises(ValueError, match="gave 2.5 at n=10"):
+            probe(seq, 10, Schedules(K=lambda n: 2.5, J=lambda n: 1))
+        with pytest.raises(ValueError, match="at n=10"):
+            probe(seq, 10, Schedules(K=lambda n: 2, J=math.sqrt))
+        assert probe(seq, 10, Schedules(K=lambda n: np.int64(2), J=lambda n: np.uint8(1)))[0] == 2
+
+    @pytest.mark.parametrize("K, J", [(lambda n: math.log2(n + 1), schedule_J), (lambda n: 2, math.sqrt)])
+    def test_streaming_checks_at_the_horizon(self, K, J):
+        with pytest.raises(ValueError, match="at n=100"):
+            StreamingEstimator(Alphabet.of_size(2), Schedules(K=K, J=J), horizon=100)
+
+    def test_verify_and_run_experiment(self):
+        sqrt_j = Schedules(K=LogK(2, 0.1), J=math.sqrt)
+        with pytest.raises(ValueError, match="not an integer"):
+            verify_equivalence(cases=5, max_n=300, seed=1, schedules_for=lambda size: sqrt_j)
+        cfg = ExperimentConfig(spec=IIDProcess(Alphabet("01"), (0.5, 0.5)), horizon=50, replicates=1, schedules=sqrt_j)
+        with pytest.raises(ValueError, match="not an integer"):
+            run_experiment(cfg)

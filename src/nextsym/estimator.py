@@ -5,10 +5,10 @@ recent suffix block that has recurred often enough earlier in the segment and
 averages the payoff of the symbols that followed those earlier occurrences.
 Everything here evaluates from scratch on a sequence by direct scanning, in
 one block scan (``_scan``) that takes any set of positions at once:
-:func:`probe` and :func:`recurrence_times` are one-row calls of it, and
-:func:`nextsym.verify.verify_equivalence` calls it once per row block of
-prefixes.  The incremental realization lives in :mod:`nextsym.streaming` and
-must agree with the scan bit for bit.
+:func:`probe` is a one-row call of it, and :func:`nextsym.verify.verify_equivalence`
+calls it once per row block of prefixes.  :func:`recurrence_times` compares
+the windows with the suffix directly.  The incremental realization lives in
+:mod:`nextsym.streaming` and must agree with the scan bit for bit.
 
 Conventions: an occurrence of the length-k suffix "at backshift t" means
 X_{n-k+1-t..n-t} equals X_{n-k+1..n}; only backshifts with n-k+1-t >= 0 (the
@@ -330,16 +330,18 @@ class DistributionEstimate:
 
 
 def recurrence_times(seq: SymbolSequence, n: int, k: int) -> list[int]:
-    """Backshifts t at which the length-k suffix of X_0..X_n recurs, ascending:
-    n minus the match ends of a one-row :func:`_scan` capped at k with
-    threshold 1 and no histogram, latest end first; none when the scan
-    stops short of k.  The list has one entry per in-segment occurrence.
+    """Backshifts t at which the length-k suffix of X_0..X_n recurs, ascending,
+    one per in-segment occurrence: each earlier start s < n-k+1 whose window
+    X_{s..s+k-1} equals the suffix X_{n-k+1..n} gives t = n-k+1-s.
     """
     _check_position(seq, n)
     if not 1 <= k <= n + 1:
         raise ValueError(f"k={k} outside [1, n+1]={n + 1}")
-    kappa, _, _, ((_, cols, mask),) = _scan(seq.as_array(), np.array([n]), np.array([k]), np.array([1]), 0)
-    return (n - cols[mask[0]])[::-1].tolist() if kappa[0] == k else []
+    arr, last = seq.as_array(), n - k + 1
+    hit = np.ones(last, bool)
+    for i in range(k):
+        hit &= arr[i : last + i] == arr[last + i]
+    return (last - hit.nonzero()[0])[::-1].tolist()
 
 
 def probe(seq: SymbolSequence, n: int, schedules: Schedules):
@@ -351,7 +353,7 @@ def probe(seq: SymbolSequence, n: int, schedules: Schedules):
     if n == 0 or (cap := min(_schedule_value(schedules.K, n), n + 1)) < 1:
         return None
     need = min(max(_schedule_value(schedules.J, n), 1), n + 1)  # no count exceeds n, so the clamp decides as J(n) does
-    kappa, matches, hist, _ = _scan(seq.as_array(), np.array([n]), np.array([cap]), np.array([need]), seq.alphabet.size)
+    kappa, matches, hist = _scan(seq.as_array(), np.array([n]), np.array([cap]), np.array([need]), seq.alphabet.size)
     return (int(kappa[0]), int(matches[0]), hist[0].tolist()) if kappa[0] else None
 
 
@@ -417,16 +419,11 @@ def _scan(arr: np.ndarray, ns: np.ndarray, caps: np.ndarray, needs: np.ndarray, 
     that many cells (one row when a row alone is longer); a group that fits,
     such as every one-row call, takes a single product.  Every end e < n has
     a successor, so a row's match count is its histogram total, summed once
-    after the groups; only a call without a histogram counts the mask.
+    after the groups.  The masks never leave the call.
 
-    Returns ``(kappa, matches, hist, ends)``.  ``hist`` has ``size`` columns,
-    none for a caller that needs only the ends.  ``ends`` holds one
-    ``(rows, cols, mask)`` triple per group: the ends of the earlier windows
-    equal to the length-kappa suffix at row ``rows[i]`` are
-    ``cols[mask[i]]``, ascending (none where the row abstains).
+    Returns ``(kappa, matches, hist)``; ``hist`` has ``size`` columns.
     """
-    kappa, matches, hist = np.zeros(len(ns), np.int64), np.zeros(len(ns), np.int64), np.zeros((len(ns), size), np.int64)
-    ends = []
+    kappa, hist = np.zeros(len(ns), np.int64), np.zeros((len(ns), size), np.int64)
     last = arr[ns]
     for s in set(last.tolist()):
         rows = (last == s).nonzero()[0]
@@ -447,21 +444,15 @@ def _scan(arr: np.ndarray, ns: np.ndarray, caps: np.ndarray, needs: np.ndarray, 
             cols, mask, k = cols[used], mask.compress(used, axis=1), k + 1
             go &= cap > k
         kappa[rows] = depth
-        if not size:
-            matches[rows] = np.add.reduce(mask, 1)
+        exact = np.float32 if len(cols) < _FLOAT32_COLS else np.float64
+        onehot = (arr[cols + 1][:, None] == np.arange(size)).astype(exact)
+        step = _SLAB_CELLS // (len(cols) + 1) + 1
+        if len(rows) <= step:  # one product, without the slab bookkeeping a one-row call would pay for
+            hist[rows] = mask @ onehot
         else:
-            exact = np.float32 if len(cols) < _FLOAT32_COLS else np.float64
-            onehot = (arr[cols + 1][:, None] == np.arange(size)).astype(exact)
-            step = _SLAB_CELLS // (len(cols) + 1) + 1
-            if len(rows) <= step:  # one product, without the slab bookkeeping a one-row call would pay for
-                hist[rows] = mask @ onehot
-            else:
-                for lo in range(0, len(rows), step):
-                    hist[rows[lo : lo + step]] = mask[lo : lo + step] @ onehot
-        ends.append((rows, cols, mask))
-    if size:
-        matches = hist.sum(1)
-    return kappa, matches, hist, ends
+            for lo in range(0, len(rows), step):
+                hist[rows[lo : lo + step]] = mask[lo : lo + step] @ onehot
+    return kappa, hist.sum(1), hist
 
 
 def _check_position(seq: SymbolSequence, n: int) -> None:

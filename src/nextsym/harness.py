@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel
-from .estimator import SCHEDULE_CAP, PayoffFunction, Schedules, payoff_means, probe, recurrence_times
+from .estimator import SCHEDULE_CAP, PayoffFunction, Schedules, _schedule_value, payoff_means, probe, recurrence_times
 from .processes import Oracle, ProcessSpec, generate, stationary_block_law
 from .seeding import MAX_SEED, derive_seed
 
@@ -402,8 +402,8 @@ def _schedule_hypothesis_note(schedules: Schedules, horizon: int) -> str:
     grid = [n for n in grid if 1 <= n <= horizon]
     if len(grid) < 2:
         return "grid too short to assess schedule growth"
-    ks = [schedules.K(n) for n in grid]
-    js = [schedules.J(n) for n in grid]
+    ks = [_schedule_value(schedules.K, n) for n in grid]
+    js = [_schedule_value(schedules.J, n) for n in grid]
     if any(b < a for a, b in zip(ks, ks[1:])):
         return f"K is not nondecreasing on grid {grid}"
     if any(b < a for a, b in zip(js, js[1:])):
@@ -444,7 +444,7 @@ def check_kappa_divergence(
             status="hypothesis_violation",
             note=note,
         )
-    final_cap = schedules.K(horizon)
+    final_cap = _schedule_value(schedules.K, horizon)
     law = stationary_block_law(spec, final_cap)
     all_positive = bool(law.min() > 0)
     per_grid: list[list[int]] = [[] for _ in grid]

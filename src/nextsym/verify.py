@@ -8,25 +8,17 @@ estimate) is built from the probe by one shared finisher in
 
 Each random sequence is checked in row blocks of consecutive prefixes, with
 rows times the sequence length at most ``_BLOCK_CELLS`` (2^19, 262 prefixes
-of a 2,000-symbol case), which bounds the block's match masks; a block's
-masks are freed before the next block is scanned, and the scan forms its
-histograms over bounded slabs, so memory stays flat.  The scanning evaluator
-(``estimator._scan``) probes a whole block in one call; the streaming index is
-pushed and probed once per prefix, and its probes are packed into int64
-arrays and compared with the block's.  The match ends the scan returns are
-checked per block: each row lists as many ends as its match count, every end
-lies in [kappa - 1, n - 1], and the window at every end equals the suffix,
-compared one symbol back at a time apart from the narrowing that found it.
-Together these pin each list down to the exact set of in-segment
-occurrences.  Only the count reads a whole mask; the other two checks read
-the columns that can fail them (``_list_defects``).  The whole-sequence
-replay kernel (:mod:`nextsym.kernel`) is the third route: its context
-lengths, match counts and histograms are compared with the scanning arrays,
-one array comparison per field and case.
+of a 2,000-symbol case), which bounds the block's match masks; the masks
+never leave the scan, and it forms its histograms over bounded slabs, so
+memory stays flat.  The scanning evaluator (``estimator._scan``) probes a
+whole block in one call; the streaming index is pushed and probed once per
+prefix, and its probes are packed into int64 arrays and compared with the
+block's.  The whole-sequence replay kernel (:mod:`nextsym.kernel`) is the
+third route: its context lengths, match counts and histograms are compared
+with the scanning arrays, one array comparison per field and case.
 
-The first failure is reported: the earliest prefix; at one prefix a
-streaming mismatch before a wrong match-end list; and the kernel only once
-its case has passed both.
+The first failure is reported: the earliest prefix, and the kernel only once
+its case has passed the streaming comparison.
 """
 
 from __future__ import annotations
@@ -48,7 +40,6 @@ __all__ = ["EquivalenceReport", "verify_equivalence"]
 _ALPHABET_SIZES = (2, 3, 4)
 _FIELDS = ("context_len", "matches", "histogram")
 _BLOCK_CELLS = 1 << 19  # rows x length per row block: 262 prefixes of a 2,000-symbol case
-_DEFECTS = ("listed backshift does not match the suffix", "entry outside [1, n-k+1]", "expected {} entries, got {}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +102,7 @@ def verify_equivalence(
         step = max(1, _BLOCK_CELLS // length)
         for lo in range(0, length, step):
             block = ns[lo : lo + step]
-            *want, ends = _scan(data, block, caps[block], needs[block], size)
+            want = _scan(data, block, caps[block], needs[block], size)
             got = array("q")
             for x in data[block].tolist():
                 streaming.push(x)
@@ -120,62 +111,18 @@ def verify_equivalence(
             got = np.frombuffer(got, np.int64).reshape(len(block), -1)
             got = got[:, 0], got[:, 1], got[:, 2:]
             off = np.array([(w != g).reshape(len(block), -1).any(axis=1) for w, g in zip(want, got)])
-            defects = _list_defects(data, block, *want[:2], ends)
-            bad = np.flatnonzero(off.any(axis=0) | (defects > 0))
+            bad = np.flatnonzero(off.any(axis=0))
             if len(bad):
                 i = int(bad[0])
                 prefixes += i
-                if off[:, i].any():
-                    f = int(np.argmax(off[:, i]))
-                    return fail(lo + i, _FIELDS[f], want[f][i].tolist(), got[f][i].tolist())
-                rows, cols, mask = next(e for e in ends if i in e[0])
-                times = (lo + i - cols[mask[rows == i][0]])[::-1].tolist()
-                return fail(lo + i, "recurrence_times", _DEFECTS[defects[i] - 1].format(want[1][i], len(times)), times)
+                f = int(np.argmax(off[:, i]))
+                return fail(lo + i, _FIELDS[f], want[f][i].tolist(), got[f][i].tolist())
             prefixes += len(block)
             for whole, w in zip(scanned, want):
                 whole[block] = w
-            del want, ends  # free the block's match masks before the next block's scan allocates its own
         for field, w, g in zip(_FIELDS, scanned, replayed):
             if not np.array_equal(w, g):
                 n = int(np.flatnonzero((w != g).reshape(length, -1).any(axis=1))[0])
                 return fail(n, field, w[n].tolist(), g[n].tolist(), "kernel")
     return EquivalenceReport(ok=True, cases=cases, prefixes_checked=prefixes, counterexample=None)
 
-
-def _list_defects(arr: np.ndarray, ns: np.ndarray, kappa: np.ndarray, matches: np.ndarray, ends: list) -> np.ndarray:
-    """Per row of a scanned block, 0 when its match ends are exact, else one
-    plus the index in ``_DEFECTS`` of the highest-ranked check it fails.
-    From the top rank down: the ends number ``matches``, each lies in
-    [kappa - 1, n - 1], and each window equals the suffix X_{n-kappa+1..n},
-    compared one symbol back at a time.
-
-    No check depends on the order in which a row lists its ends, so a group
-    whose columns are not strictly ascending is sorted first; the codes do not
-    change.  Then only the count reduces the whole mask, against the scan's
-    ``matches``, which are its histogram totals.  An end below
-    kappa - 1 can only lie in the columns below the group's largest kappa - 1,
-    and an end at or past n only in the columns from the group's smallest n
-    on, so the range check reads those two column ranges.  The window check
-    groups the rows by their suffix symbol at each depth i and reads only the
-    columns whose symbol i back differs from it; at i = 0 a correct scan
-    has none."""
-    code = np.zeros(len(ns), np.int64)
-    for rows, cols, mask in ends:
-        if not (cols[1:] > cols[:-1]).all():
-            order = cols.argsort()
-            cols, mask = cols[order], mask[:, order]
-        k, at = kappa[rows], ns[rows]
-        low, high = cols.searchsorted(k.max() - 1), cols.searchsorted(at.min())
-        outside = np.logical_or.reduce(mask[:, :low] & (cols[:low] < k[:, None] - 1), 1)
-        outside |= np.logical_or.reduce(mask[:, high:] & (cols[high:] >= at[:, None]), 1)
-        differs = np.zeros(len(rows), bool)
-        for i in range(int(k.max())):
-            deep = (k > i).nonzero()[0]
-            suffix, have = arr[at[deep] - i], arr.take(cols - i, mode="clip")
-            for s in set(suffix.tolist()):
-                off = (have != s).nonzero()[0]
-                if len(off):
-                    sub = deep[suffix == s]
-                    differs[sub] |= np.logical_or.reduce(mask[np.ix_(sub, off)], 1)
-        code[rows] = np.max([differs, outside * 2, (np.add.reduce(mask, 1) != matches[rows]) * 3], axis=0)
-    return code

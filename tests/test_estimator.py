@@ -56,6 +56,26 @@ class TestRecurrenceTimes:
         s = seq_of(alphabet, data)
         assert recurrence_times(s, n, k) == brute_times(data, n, k)
 
+    @given(
+        length=st.integers(1, 200),
+        p_zero=st.sampled_from([0.5, 0.9, 0.98]),
+        seed=st.integers(0, 2**32 - 1),
+        at=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_position_and_length_matches_brute_oracle(self, length, p_zero, seed, at):
+        # skewed binary data recurs in long runs.  Every position is compared at one length, so
+        # the positions before the end check that no window reads past X_n, and every length
+        # from 1 to n + 1 is compared at one position
+        data = np.random.default_rng(seed).choice(2, length, p=[p_zero, 1 - p_zero]).tolist()
+        s = seq_of(Alphabet("01"), data)
+        k = at.draw(st.integers(1, 16))
+        for n in range(length):
+            assert recurrence_times(s, n, min(k, n + 1)) == brute_times(data, n, min(k, n + 1))
+        n = at.draw(st.integers(0, length - 1))
+        for k in range(1, n + 2):
+            assert recurrence_times(s, n, k) == brute_times(data, n, k)
+
 
 class TestKappaLambda:
     def test_kappa_spec_examples(self, binary, default_schedules):
@@ -133,20 +153,17 @@ class TestKappaLambda:
 
 def _block_scan(data: list, size: int, schedules: Schedules, rows: int) -> tuple:
     """The block scan at every prefix of ``data``, ``rows`` prefixes per call:
-    kappa, matches, histograms and match ends as lists indexed by n."""
+    kappa, matches and histograms as lists indexed by n."""
     arr = np.array(data, np.uint8)
     ns = np.arange(len(data))
     caps = np.array([0] + [min(schedules.K(n), n + 1) for n in range(1, len(data))])
     needs = np.array([1] + [max(schedules.J(n), 1) for n in range(1, len(data))])
-    kappa, matches, hist, ends = [], [], [], [None] * len(data)
+    kappa, matches, hist = [], [], []
     for lo in range(0, len(data), rows):
         block = ns[lo : lo + rows]
-        k, m, h, groups = _scan(arr, block, caps[block], needs[block], size)
+        k, m, h = _scan(arr, block, caps[block], needs[block], size)
         kappa, matches, hist = kappa + k.tolist(), matches + m.tolist(), hist + h.tolist()
-        for group, cols, mask in groups:
-            for i, row in zip(group.tolist(), mask):
-                ends[lo + i] = cols[row].tolist()
-    return kappa, matches, hist, ends
+    return kappa, matches, hist
 
 
 _SCAN_SCHEDULES = {
@@ -172,136 +189,26 @@ def test_block_scan_matches_brute_oracles(size, length, which, seed, skew):
     whole = _block_scan(data, size, sch, length)
     for rows in (1, 7, 64):
         assert _block_scan(data, size, sch, rows) == whole
-    for n, (kappa, matches, hist, ends) in enumerate(zip(*whole)):
+    for n, (kappa, matches, hist) in enumerate(zip(*whole)):
         k = brute_kappa(data, n, min(sch.K(n), n + 1), max(sch.J(n), 1)) if n else 0
         assert kappa == k
         assert hist == (brute_histogram(data, n, k, size) if k else [0] * size) and matches == sum(hist)
-        assert ends == ([n - t for t in reversed(brute_times(data, n, k))] if k else [])
 
 
 @pytest.mark.parametrize("rows", [1, 2, 5])
 def test_block_scan_edge_rows(rows):
     # n = 0 abstains, J(n) = 0 still needs one occurrence, and K(n) = 0 leaves no length to try
-    kappa, matches, hist, ends = _block_scan([0, 1, 1, 0, 1], 2, Schedules(K=ConstantSchedule(3), J=lambda n: 0), rows)
-    assert (kappa[0], matches[0], hist[0], ends[0]) == (0, 0, [0, 0], [])
-    assert (kappa[4], matches[4], hist[4], ends[4]) == (2, 1, [0, 1], [1])
-    kappa, matches, hist, ends = _block_scan([0, 1, 1, 0, 1], 2, Schedules(K=ConstantSchedule(0), J=lambda n: 0), rows)
-    assert kappa == matches == [0] * 5 and hist == [[0, 0]] * 5 and ends == [[]] * 5
-
-
-def _full_mask_defects(arr: np.ndarray, ns: np.ndarray, kappa: np.ndarray, matches: np.ndarray, ends: list) -> np.ndarray:
-    """``verify._list_defects`` as it was before it read only the columns that can fail: every
-    check over every cell of every mask."""
-    code = np.zeros(len(ns), np.int64)
-    for rows, cols, mask in ends:
-        k, at = kappa[rows, None], ns[rows, None]
-        outside = mask & ((cols < k - 1) | (cols >= at))
-        differs = np.zeros_like(mask)
-        for i in range(int(k.max(initial=0))):
-            differs |= mask & (k > i) & (arr.take(cols - i, mode="clip") != arr[at - i])
-        code[rows] = np.max([differs.any(axis=1), outside.any(axis=1) * 2, (mask.sum(axis=1) != matches[rows]) * 3], axis=0)
-    return code
-
-
-def _mutate(ends: list, ns: np.ndarray, kappa: np.ndarray, how: str, rng: np.random.Generator) -> list:
-    """A copy of a scan's match ends with one row of one group changed as ``how`` says: the
-    row of largest kappa in the group, or a random one."""
-    ends = [(rows, cols.copy(), mask.copy()) for rows, cols, mask in ends]
-    g = int(rng.integers(len(ends)))
-    rows, cols, mask = ends[g]
-    r = int(np.argmax(kappa[rows]) if rng.random() < 0.5 else rng.integers(len(rows)))
-    listed, unlisted = np.flatnonzero(mask[r]), np.flatnonzero(~mask[r])
-    if how == "drop" and len(listed):
-        mask[r, rng.choice(listed)] = False
-    elif how == "add" and len(unlisted):
-        mask[r, rng.choice(unlisted)] = True
-    elif how == "duplicate" and len(listed):  # the same end listed twice, out of order
-        j = int(rng.choice(listed))
-        cols, mask = np.append(cols, cols[j]), np.column_stack([mask, mask[:, j]])
-    elif how == "append":  # one new end, out of order: below kappa - 1, near n, or anywhere
-        k, n = int(kappa[rows[r]]), int(ns[rows[r]])
-        e = int(rng.choice([rng.integers(0, max(k - 1, 1)), rng.integers(max(n - 2, 0), n + 2), rng.integers(0, n + 1)]))
-        added = rng.random(len(rows)) < 0.2
-        added[r] = True
-        cols, mask = np.append(cols, e), np.column_stack([mask, added])
-    elif how == "flip" and mask.size:
-        mask[r, int(rng.integers(mask.shape[1]))] ^= True
-    ends[g] = rows, cols, mask
-    return ends
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    size=st.integers(2, 4),
-    length=st.integers(1, 120),
-    which=st.sampled_from(sorted(_SCAN_SCHEDULES)),
-    skew=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_list_defects_equals_the_full_mask_form(size, length, which, skew, seed):
-    rng = np.random.default_rng(seed)
-    probs = np.array([8.0] + [1.0] * (size - 1)) if skew else np.ones(size)
-    arr = rng.choice(size, length, p=probs / probs.sum()).astype(np.uint8)
-    sch = _SCAN_SCHEDULES[which](size)
-    lo = int(rng.integers(length))
-    block = np.arange(lo, int(rng.integers(lo, length)) + 1)
-    caps, needs = kernel._caps(sch, 0, length)[block], kernel._thresholds(sch, 0, length)[block]
-    kappa, matches, _, ends = _scan(arr, block, caps, needs, size)
-    assert not verify._list_defects(arr, block, kappa, matches, ends).any()
-    for how in ("drop", "add", "duplicate", "append", "flip"):
-        for recount in (False, True):
-            changed = _mutate(ends, block, kappa, how, rng)
-            counts = matches.copy()
-            if recount:  # counts that agree with the changed lists, so the range and window checks decide
-                for rows, _, mask in changed:
-                    counts[rows] = mask.sum(axis=1)
-            code = verify._list_defects(arr, block, kappa, counts, changed)
-            assert code.tolist() == _full_mask_defects(arr, block, kappa, counts, changed).tolist(), (how, recount)
-
-
-def _scan_case(size: int, length: int, which: str, skew: bool, seed: int) -> tuple:
-    """A random row block of a random sequence, as ``_scan``'s arguments."""
-    rng = np.random.default_rng(seed)
-    probs = np.array([8.0] + [1.0] * (size - 1)) if skew else np.ones(size)
-    arr = rng.choice(size, length, p=probs / probs.sum()).astype(np.uint8)
-    sch = _SCAN_SCHEDULES[which](size)
-    lo = int(rng.integers(length))
-    block = np.arange(lo, int(rng.integers(lo, length)) + 1)
-    return arr, block, kernel._caps(sch, 0, length)[block], kernel._thresholds(sch, 0, length)[block], size
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    size=st.integers(2, 4),
-    length=st.integers(1, 120),
-    which=st.sampled_from(sorted(_SCAN_SCHEDULES)),
-    skew=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_scan_counts_are_the_mask_counts(size, length, which, skew, seed):
-    # the counts are the histogram totals; they equal the listed ends on every row
-    args = _scan_case(size, length, which, skew, seed)
-    _, matches, hist, ends = _scan(*args)
-    assert matches.tolist() == hist.sum(axis=1).tolist()
-    for rows, _, mask in ends:
-        assert matches[rows].tolist() == np.add.reduce(mask, 1).tolist()
-
-
-def test_list_defects_recounts_a_histogram_formed_apart():
-    # a scan whose histogram misses one listed end: the count taken from its totals is one short
-    arr, block, caps, needs, size = _scan_case(3, 300, "default", True, 5)
-    kappa, _, hist, ends = _scan(arr, block, caps, needs, size)
-    rows, cols, mask = max(ends, key=lambda e: e[2].sum())
-    r = int(np.argmax(mask.sum(axis=1)))
-    hist[rows[r], arr[cols[mask[r]][-1] + 1]] -= 1  # the product over the row's mask without its last end
-    code = verify._list_defects(arr, block, kappa, hist.sum(axis=1), ends)
-    assert code[rows[r]] == 3 and np.count_nonzero(code) == 1
+    kappa, matches, hist = _block_scan([0, 1, 1, 0, 1], 2, Schedules(K=ConstantSchedule(3), J=lambda n: 0), rows)
+    assert (kappa[0], matches[0], hist[0]) == (0, 0, [0, 0])
+    assert (kappa[4], matches[4], hist[4]) == (2, 1, [0, 1])
+    kappa, matches, hist = _block_scan([0, 1, 1, 0, 1], 2, Schedules(K=ConstantSchedule(0), J=lambda n: 0), rows)
+    assert kappa == matches == [0] * 5 and hist == [[0, 0]] * 5
 
 
 @pytest.mark.parametrize("which", sorted(_SCAN_SCHEDULES))
 def test_float32_product_equals_float64(monkeypatch, which):
     # a skewed 700-symbol sequence scanned whole, in a 300-row block and in one-row calls: the
-    # float32 product gives the same kappa, counts, histograms and ends as the float64 one
+    # float32 product gives the same kappa, counts and histograms as the float64 one
     rng = np.random.default_rng(12)
     arr = rng.choice(3, 700, p=[0.8, 0.1, 0.1]).astype(np.uint8)
     sch = _SCAN_SCHEDULES[which](3)
@@ -312,9 +219,7 @@ def test_float32_product_equals_float64(monkeypatch, which):
     def scans():
         out = []
         for block in blocks:
-            kappa, matches, hist, ends = _scan(arr, block, caps[block], needs[block], 3)
-            listed = [cols[row].tolist() for _, cols, mask in ends for row in mask]
-            out.append((kappa.tolist(), matches.tolist(), hist.tolist(), listed))
+            out.append([field.tolist() for field in _scan(arr, block, caps[block], needs[block], 3)])
         return out
 
     narrow = scans()
@@ -323,17 +228,17 @@ def test_float32_product_equals_float64(monkeypatch, which):
 
 
 def test_block_scan_histograms_across_slabs():
-    # one call over every prefix of a skewed 700-symbol sequence: the larger group's mask spans
-    # many slabs of the histogram product, and every row still equals the brute histogram and
-    # the one-row call
+    # one call over every prefix of a skewed 700-symbol sequence: the group of the frequent symbol
+    # keeps at least the ends its rows match, so its mask spans many slabs of the histogram
+    # product, and every row still equals the brute histogram and the one-row call
     rng = np.random.default_rng(11)
     data = rng.choice(3, 700, p=[0.8, 0.1, 0.1]).tolist()
-    arr, ns = np.array(data, np.uint8), np.arange(len(data))
+    seq = seq_of(Alphabet("012"), data)
     for sch in (Schedules.default(3), Schedules(K=ConstantSchedule(6), J=ConstantSchedule(2))):
-        caps, needs = kernel._caps(sch, 0, len(data)), kernel._thresholds(sch, 0, len(data))
-        *_, ends = _scan(arr, ns, caps, needs, 3)
-        assert max(mask.size for _, _, mask in ends) > 8 * estimator._SLAB_CELLS
         whole = _block_scan(data, 3, sch, len(data))
+        rows = [n for n, x in enumerate(data) if x == 0]
+        width = len({n - t for n in rows if whole[0][n] for t in recurrence_times(seq, n, whole[0][n])})
+        assert len(rows) * width > 8 * estimator._SLAB_CELLS
         assert _block_scan(data, 3, sch, 1) == whole
         for n, (k, hist) in enumerate(zip(whole[0], whole[2])):
             assert hist == (brute_histogram(data, n, k, 3) if k else [0, 0, 0])

@@ -30,6 +30,7 @@ CONSTANT = IIDProcess(BINARY, (1.0, 0.0))
 FLIP = MarkovProcess(BINARY, 1, ((0.7, 0.3), (0.3, 0.7)))
 IND1 = PayoffFunction.indicator(BINARY, "1")
 NO_11 = MarkovProcess(BINARY, 1, ((0.5, 0.5), (1.0, 0.0)))  # the block 11 never occurs
+ORDER2 = MarkovProcess(BINARY, 2, ((0.9, 0.1), (0.6, 0.4), (0.4, 0.6), (0.1, 0.9)))
 
 
 class TestSeeding:
@@ -234,6 +235,13 @@ class TestLemmaResampling:
         # a length-5 suffix recurs twice within 60 steps in only about half the replicates
         report = check_lemma_resampling(COIN, k=5, j=2, n=60, replicates=100, base_seed=23)
         assert (report.status, report.usable, report.excluded, report.counts) == ("pass", 53, 47, (24, 29))
+
+    def test_pinned_counts_at_a_multi_symbol_suffix(self):
+        # the second recurrence of a length-3 suffix, two coordinates resampled: the recurrence
+        # lists decide every count, so the counts, the statistic and the status are pinned exactly
+        report = check_lemma_resampling(ORDER2, k=3, j=2, n=120, replicates=500, base_seed=23, block_len=2)
+        assert (report.usable, report.excluded, report.counts) == (494, 6, (197, 58, 48, 191))
+        assert (report.statistic, report.dof, report.status) == (1.7591093117408851, 3, "pass")
 
     def test_impossible_block_fails(self, monkeypatch):
         # a law that rules out the symbol 1 stands for a generator that disagrees with its law

@@ -7,6 +7,7 @@ from nextsym import (
     Alphabet,
     ExperimentConfig,
     IIDProcess,
+    check_kappa_divergence,
     Schedules,
     SymbolSequence,
     run_experiment,
@@ -214,3 +215,10 @@ class TestNonIntegerValuesRefused:
         cfg = ExperimentConfig(spec=IIDProcess(Alphabet("01"), (0.5, 0.5)), horizon=50, replicates=1, schedules=sqrt_j)
         with pytest.raises(ValueError, match="not an integer"):
             run_experiment(cfg)
+
+    def test_kappa_divergence(self):
+        coin = IIDProcess(Alphabet("01"), (0.5, 0.5))
+        with pytest.raises(ValueError, match="gave 2.5 at n=16"):
+            check_kappa_divergence(coin, 300, 3, Schedules(K=lambda n: 2.5, J=schedule_J))
+        with pytest.raises(ValueError, match="gave 1.5 at n=16"):
+            check_kappa_divergence(coin, 300, 3, Schedules(K=LogK(2, 0.25), J=lambda n: 1.5))

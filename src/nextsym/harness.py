@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
@@ -241,11 +239,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     so output bytes depend only on the config.
     """
     cfg = config.resolved()
-    # the pool starts every worker at the first submit, so never ask for more than the machine has
-    workers = min(cfg.workers, cfg.replicates, os.cpu_count() or 1)
+    # the pool starts every worker at the first submit, so never ask for more CPUs than this process
+    # may run on: its affinity mask where the OS has one (taskset), else the machine's count
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cfg.workers, cfg.replicates, cpus)
     if workers == 1:
         per_rep = [_run_replicate(cfg, r) for r in range(cfg.replicates)]
     else:
+        # imported here: the pool machinery is a sizeable part of start-up and serial runs never need it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(partial(_run_replicate, cfg), range(cfg.replicates)))
     rows = tuple(row for rep_rows in per_rep for row in rep_rows)
@@ -426,6 +429,8 @@ def check_kappa_divergence(
     """Record matched context lengths at the grid points, one scanning
     :func:`~nextsym.estimator.probe` each, and test that they reach the
     schedule cap at the horizon in more than 95% of replicates."""
+    import statistics  # imported here so CLI start-up does not load it
+
     if horizon < 1 or replicates < 1:
         raise ValueError("need horizon >= 1 and replicates >= 1")
     schedules = schedules or Schedules.default(spec.alphabet.size)

@@ -563,6 +563,18 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.splitlines()[1] == "4,1,2,0,0,1"
 
 
+def test_start_up_does_not_load_the_pool_or_statistics():
+    # a run with one usable worker never starts a pool; importing its machinery at start-up
+    # cost every such run about 20 ms. A fresh interpreter, since pytest has loaded these already
+    code = (
+        "import sys, nextsym, nextsym.cli\n"
+        "loaded = [m for m in ('concurrent.futures.process', 'multiprocessing', 'statistics') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_defaults_when_sections_missing(tmp_path, capsys):
     # lemmas command fills documented defaults: fair coin, resampling case
     # (k=1, j=1, n=100); keep replicates low via explicit sections elsewhere

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,15 +156,15 @@ class TestRunExperiment:
         res1, res2 = run_experiment(cfg1), run_experiment(cfg2)
         assert res1.rows == res2.rows and res1.tails == res2.tails
 
-    @pytest.mark.parametrize("cpus, pool_size", [(3, 3), (1, None), (None, None)])
-    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, cpus, pool_size):
-        from nextsym import harness
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Replace the process pool by one that runs every task in the calling process,
+        in order, and return the list of pool sizes asked for."""
+        import concurrent.futures
 
         sizes = []
 
         class FakePool:
-            """Runs every task in the calling process, in order."""
-
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
@@ -176,13 +177,32 @@ class TestRunExperiment:
             def map(self, fn, iterable):
                 return map(fn, iterable)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-        cfg = ExperimentConfig(spec=FLIP, horizon=256, replicates=6, payoff=IND1, base_seed=11, workers=5000)
-        res = run_experiment(cfg)
-        assert sizes == ([] if pool_size is None else [pool_size])
-        serial = run_experiment(ExperimentConfig(spec=FLIP, horizon=256, replicates=6, payoff=IND1, base_seed=11))
+        # run_experiment imports the pool class from the package at call time
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        return sizes
+
+    @staticmethod
+    def _check_pool_size(pool_sizes, pool_size):
+        """Ask for 5000 workers; the pool gets pool_size of them (None: no pool) and the rows stay the serial run's."""
+        cfg = ExperimentConfig(spec=FLIP, horizon=256, replicates=6, payoff=IND1, base_seed=11)
+        res = run_experiment(replace(cfg, workers=5000))
+        assert pool_sizes == ([] if pool_size is None else [pool_size])
+        serial = run_experiment(cfg)
         assert res.rows == serial.rows and res.tails == serial.tails
+
+    @pytest.mark.parametrize("cpus, pool_size", [(3, 3), (1, None), (None, None)])
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, pool_sizes, cpus, pool_size):
+        # the machine's count is the cap only where the OS has no affinity mask
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        self._check_pool_size(pool_sizes, pool_size)
+
+    @pytest.mark.parametrize("affinity, pool_size", [({0}, None), ({0, 2, 5}, 3)])
+    def test_pool_is_capped_at_the_cpus_this_process_may_use(self, monkeypatch, pool_sizes, affinity, pool_size):
+        # taskset -c 0 on an 8-CPU machine: one usable CPU, so no pool at all
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        self._check_pool_size(pool_sizes, pool_size)
 
     def test_replicate_rows_depend_only_on_base_seed_and_index(self):
         small = run_experiment(ExperimentConfig(spec=FLIP, horizon=512, replicates=3, payoff=IND1, base_seed=21))

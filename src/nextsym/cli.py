@@ -20,7 +20,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, kernel
+from . import __version__
 from .config import (
     ConfigError,
     build_alphabet,
@@ -31,19 +31,26 @@ from .config import (
     load_document,
 )
 from .estimator import Schedules
-from .harness import (
-    check_kappa_divergence,
-    check_lemma_resampling,
-    check_return_time_bound,
-    run_experiment,
-)
 from .processes import RNG_ALGORITHM
 from .seeding import MAX_SEED
-from .verify import verify_equivalence
 
 CSV_SCHEMA_VERSION = 1
 _METRICS_COLUMNS = "replicate,n,kappa,lambda,abstained,estimate_or_tv,oracle_summary,abs_error,cesaro_avg"
 _TAILS_COLUMNS = "n,epsilon,fraction,wilson_halfwidth,replicates"
+
+
+def run_experiment(cfg):
+    """harness.run_experiment, imported on first call; a module attribute so a tracer can substitute it."""
+    from .harness import run_experiment
+
+    return run_experiment(cfg)
+
+
+def verify_equivalence(**kwargs):
+    """verify.verify_equivalence, imported on first call; a module attribute so a tracer can substitute it."""
+    from .verify import verify_equivalence
+
+    return verify_equivalence(**kwargs)
 
 
 def _fmt(value) -> str:
@@ -170,6 +177,8 @@ def _read_symbols(path: str, alphabet, lines_mode: bool) -> list:
 
 
 def cmd_estimate(args) -> int:
+    from . import kernel
+
     alphabet = _alphabet_from_flag(args.alphabet)
     symbols = _read_symbols(args.sequence_file, alphabet, args.lines)
     first = len(symbols) - 1 if args.final_only else 0
@@ -205,6 +214,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
+    from .harness import check_kappa_divergence, check_lemma_resampling, check_return_time_bound
+
     doc = load_document(args.config)
     spec = build_process(doc)
     schedules = build_schedules(doc, spec.alphabet)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 from .estimator import SCHEDULE_CAP, ConstantSchedule, LinearJ, LogK, PayoffFunction, Schedules, schedule_J
-from .harness import ExperimentConfig
 from .processes import MAX_BLOCKS, HiddenMarkovProcess, IIDProcess, MarkovProcess, ProcessSpec, block_space_fits
 from .seeding import MAX_SEED
 from .sequences import MAX_ALPHABET, Alphabet
@@ -229,7 +228,9 @@ def build_payoff(desc, alphabet: Alphabet, path: str = "experiment.payoff") -> P
     raise ConfigError(f"{path}.kind must be distribution/indicator/table, got {kind!r}")
 
 
-def build_experiment(doc: dict, spec: ProcessSpec, schedules: Schedules) -> ExperimentConfig:
+def build_experiment(doc: dict, spec: ProcessSpec, schedules: Schedules) -> "ExperimentConfig":
+    from .harness import ExperimentConfig  # imported here so the verify command does not load the harness
+
     section = doc.get("experiment")
     if not isinstance(section, dict):
         raise ConfigError("experiment section is required and must be an object")

@@ -24,6 +24,7 @@ divergence check, and the short-return-time bound.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, replace
 from functools import partial
@@ -51,6 +52,14 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+
+
+def _integer(value, field: str) -> int:
+    """value as an int; a float, even a whole one, raises naming the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{field} must be an integer, got {value!r}") from None
 
 
 def default_eval_grid(horizon: int) -> tuple:
@@ -81,21 +90,23 @@ class ExperimentConfig:
 
     def resolved(self) -> "ExperimentConfig":
         """Validate and fill defaults, returning a self-contained config."""
-        if self.horizon < 1:
+        ints = {name: _integer(getattr(self, name), name) for name in ("horizon", "replicates", "workers", "base_seed")}
+        horizon = ints["horizon"]
+        if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.replicates < 1:
+        if ints["replicates"] < 1:
             raise ValueError("replicates must be >= 1")
-        if self.workers < 1:
+        if ints["workers"] < 1:
             raise ValueError("workers must be >= 1")
-        if not 0 <= self.base_seed <= MAX_SEED:
+        if not 0 <= ints["base_seed"] <= MAX_SEED:
             raise ValueError("base_seed must be a 64-bit unsigned integer")
         schedules = self.schedules or Schedules.default(self.spec.alphabet.size)
-        grid = self.eval_grid if self.eval_grid is not None else default_eval_grid(self.horizon)
-        grid = tuple(sorted(set(int(n) for n in grid)))
+        grid = self.eval_grid if self.eval_grid is not None else default_eval_grid(horizon)
+        grid = tuple(sorted({_integer(n, f"eval_grid[{i}]") for i, n in enumerate(grid)}))
         if not grid:
             raise ValueError("eval_grid must not be empty")
-        if grid[0] < 1 or grid[-1] > self.horizon:
-            raise ValueError(f"eval_grid must lie within [1, {self.horizon}]")
+        if grid[0] < 1 or grid[-1] > horizon:
+            raise ValueError(f"eval_grid must lie within [1, {horizon}]")
         if not self.epsilons:
             raise ValueError("epsilons must not be empty")
         indicator_like = self.payoff is None or set(self.payoff.values) <= {0.0, 1.0}
@@ -107,12 +118,12 @@ class ExperimentConfig:
         if self.payoff is not None and self.payoff.alphabet != self.spec.alphabet:
             raise ValueError("payoff alphabet does not match the process alphabet")
         max_abs = max(map(abs, self.payoff.values)) if self.payoff is not None else 0.0
-        if not math.isfinite(2 * max_abs * (self.horizon + 1)):  # bounds every payoff and Cesaro sum: no inf or nan
+        if not math.isfinite(2 * max_abs * (horizon + 1)):  # bounds every payoff and Cesaro sum: no inf or nan
             raise ValueError(
                 f"payoff.values must be small enough that 2 * max|v| * (horizon + 1) is finite, "
-                f"got max|v| = {max_abs!r} at horizon {self.horizon}"
+                f"got max|v| = {max_abs!r} at horizon {horizon}"
             )
-        return replace(self, schedules=schedules, eval_grid=grid, epsilons=tuple(self.epsilons))
+        return replace(self, **ints, schedules=schedules, eval_grid=grid, epsilons=tuple(self.epsilons))
 
 
 @dataclass(frozen=True)

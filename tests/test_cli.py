@@ -2,11 +2,13 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nextsym import kernel, verify
+import nextsym
+from nextsym import cli, kernel, verify
 from nextsym.cli import _fmt, main
 from nextsym.estimator import LogK, Schedules, SqrtJ
 from nextsym.sequences import Alphabet
@@ -563,16 +565,59 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.splitlines()[1] == "4,1,2,0,0,1"
 
 
-def test_start_up_does_not_load_the_pool_or_statistics():
-    # a run with one usable worker never starts a pool; importing its machinery at start-up
-    # cost every such run about 20 ms. A fresh interpreter, since pytest has loaded these already
+SUBMODULES = tuple(p.stem for p in Path(nextsym.__file__).parent.glob("[!_]*.py"))
+START_UP_RUNS = {  # statement run in a fresh interpreter -> nextsym submodules it must leave unloaded
+    "import": ("import nextsym", SUBMODULES),
+    "verify": ("assert main(['verify', '--cases', '1', '--max-n', '2']) == 0", ("harness",)),
+    "simulate": ("assert main(['simulate', '--config', CONFIG, '--out', OUT]) == 0", ("verify", "streaming")),
+    "estimate": ("assert main(['estimate', SEQUENCE]) == 0", ("harness",)),
+}
+
+
+@pytest.mark.parametrize("path", START_UP_RUNS)
+def test_start_up_does_not_load_the_pool_or_statistics(tmp_path, path):
+    # each command imports only what it runs: the harness alone cost `verify` about 13 ms of start-up,
+    # and a run with one usable worker never starts a pool, whose machinery cost every run about 20 ms.
+    # A fresh interpreter, since pytest has loaded all of these already
+    run, unloaded = START_UP_RUNS[path]
+    config = write_config(tmp_path, {"process": MARKOV_DOC["process"], "experiment": {"horizon": 64}})
+    (tmp_path / "seq.txt").write_text("0110101101")
+    banned = ["concurrent.futures.process", "multiprocessing", "statistics", *(f"nextsym.{m}" for m in unloaded)]
     code = (
-        "import sys, nextsym, nextsym.cli\n"
-        "loaded = [m for m in ('concurrent.futures.process', 'multiprocessing', 'statistics') if m in sys.modules]\n"
-        "assert not loaded, loaded\n"
+        f"import sys\nCONFIG, OUT, SEQUENCE = {config!r}, {str(tmp_path / 'out')!r}, {str(tmp_path / 'seq.txt')!r}\n"
+        + ("" if path == "import" else "from nextsym.cli import main\n")
+        + f"{run}\nloaded = [m for m in {banned!r} if m in sys.modules]\nassert not loaded, loaded\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_namespace_resolves_on_first_use():
+    for name in nextsym.__all__:
+        value = getattr(nextsym, name)
+        if name != "__version__":  # the same object as in the module that defines it
+            assert getattr(sys.modules[value.__module__], name) is value, name
+    assert set(nextsym.__all__) <= set(dir(nextsym))
+    namespace = {}
+    exec("from nextsym import *", namespace)
+    assert set(nextsym.__all__) <= namespace.keys()
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nextsym.no_such_name
+    # submodules still import through the package, as the benchmark's job and tracer do
+    code = "import sys\nfrom nextsym import harness, cli\nassert harness is sys.modules['nextsym.harness'] and cli.main\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_handlers_call_the_names_a_tracer_replaces(tmp_path, monkeypatch, capsys):
+    # the benchmark's tracer swaps these cli attributes; a handler that bypassed them would zero its spans
+    calls = []
+    for name in ("run_experiment", "verify_equivalence"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, name=name, real=real, **k: calls.append(name) or real(*a, **k))
+    assert main(["simulate", "--config", write_config(tmp_path, MARKOV_DOC), "--out", str(tmp_path / "out")]) == 0
+    assert main(["verify", "--cases", "1", "--max-n", "2"]) == 0
+    assert calls == ["run_experiment", "verify_equivalence"]
 
 
 def test_defaults_when_sections_missing(tmp_path, capsys):

@@ -77,6 +77,29 @@ class TestConfig:
                 spec=COIN, horizon=10, replicates=1, payoff=PayoffFunction.indicator(Alphabet("ab"), "a")
             ).resolved()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("eval_grid", (2.5, 7.9), r"eval_grid\[0\] must be an integer, got 2\.5"),
+            ("eval_grid", (3, "3"), r"eval_grid\[1\] must be an integer, got '3'"),
+            ("horizon", 10.7, "horizon must be an integer, got 10.7"),
+            ("replicates", 2.0, "replicates must be an integer, got 2.0"),
+            ("workers", 1.5, "workers must be an integer, got 1.5"),
+            ("base_seed", 3.5, "base_seed must be an integer, got 3.5"),
+        ],
+        ids=["grid-float", "grid-str", "horizon", "replicates", "workers", "base_seed"],
+    )
+    def test_integer_fields_are_not_truncated(self, field, value, message):
+        # int() turned the grid (2.5, 7.9) into rows at n = 2 and 7, and accepted workers=1.5
+        cfg = replace(ExperimentConfig(spec=COIN, horizon=10, replicates=1), **{field: value})
+        with pytest.raises(ValueError, match=message):
+            run_experiment(cfg)
+
+    def test_integer_fields_accept_numpy_integers(self):
+        cfg = ExperimentConfig(spec=COIN, horizon=np.int64(10), replicates=1, eval_grid=(np.int32(3),)).resolved()
+        assert (cfg.horizon, cfg.eval_grid) == (10, (3,))
+        assert type(cfg.horizon) is int and type(cfg.eval_grid[0]) is int
+
     def test_payoff_sums_must_stay_finite(self):
         # 2 * 1e308 * 65 overflows, so the estimate, error and Cesaro mean would all be nan
         big, small = PayoffFunction(BINARY, (1e308, -1e308)), PayoffFunction(BINARY, (1e300, -1e300))

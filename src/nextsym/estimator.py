@@ -68,6 +68,19 @@ class SqrtJ:
 schedule_J = SqrtJ()
 
 
+def _integer(value, field: str, low: int | None = None) -> int:
+    """value as an int of at least ``low``; a bool or a float, even a whole one, raises naming the field."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{field} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{field} must be >= {low}, got {value}")
+    return value
+
+
 def _schedule_value(schedule: Callable[[int], int], n: int) -> int:
     """schedule(n) as an int; any value that is no integer, a float as well, raises."""
     value = schedule(n)

@@ -24,7 +24,7 @@ divergence check, and the short-return-time bound.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 import os
 from dataclasses import dataclass, replace
 from functools import partial
@@ -33,7 +33,8 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel
-from .estimator import SCHEDULE_CAP, PayoffFunction, Schedules, _schedule_value, payoff_means, probe, recurrence_times
+from .estimator import SCHEDULE_CAP, PayoffFunction, Schedules, _integer, _schedule_value, payoff_means, probe
+from .estimator import recurrence_times
 from .processes import Oracle, ProcessSpec, generate, stationary_block_law
 from .seeding import MAX_SEED, derive_seed
 
@@ -52,14 +53,6 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
-
-def _integer(value, field: str) -> int:
-    """value as an int; a float, even a whole one, raises naming the field."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{field} must be an integer, got {value!r}") from None
 
 
 def default_eval_grid(horizon: int) -> tuple:
@@ -90,14 +83,9 @@ class ExperimentConfig:
 
     def resolved(self) -> "ExperimentConfig":
         """Validate and fill defaults, returning a self-contained config."""
-        ints = {name: _integer(getattr(self, name), name) for name in ("horizon", "replicates", "workers", "base_seed")}
+        ints = {name: _integer(getattr(self, name), name, 1) for name in ("horizon", "replicates", "workers")}
+        ints["base_seed"] = _integer(self.base_seed, "base_seed")
         horizon = ints["horizon"]
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if ints["replicates"] < 1:
-            raise ValueError("replicates must be >= 1")
-        if ints["workers"] < 1:
-            raise ValueError("workers must be >= 1")
         if not 0 <= ints["base_seed"] <= MAX_SEED:
             raise ValueError("base_seed must be a 64-bit unsigned integer")
         schedules = self.schedules or Schedules.default(self.spec.alphabet.size)
@@ -107,12 +95,16 @@ class ExperimentConfig:
             raise ValueError("eval_grid must not be empty")
         if grid[0] < 1 or grid[-1] > horizon:
             raise ValueError(f"eval_grid must lie within [1, {horizon}]")
-        if not self.epsilons:
+        try:
+            epsilons = tuple(self.epsilons)
+        except TypeError:
+            raise ValueError(f"epsilons must be a sequence of numbers, got {self.epsilons!r}") from None
+        if not epsilons:
             raise ValueError("epsilons must not be empty")
         indicator_like = self.payoff is None or set(self.payoff.values) <= {0.0, 1.0}
-        for i, eps in enumerate(self.epsilons):
-            if not 0 < eps < math.inf:
-                raise ValueError(f"epsilons[{i}] must be positive and finite, got {eps!r}")
+        for i, eps in enumerate(epsilons):
+            if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0 < eps < math.inf:
+                raise ValueError(f"epsilons[{i}] must be a positive finite number, got {eps!r}")
             if indicator_like and eps > 1:
                 raise ValueError(f"epsilons[{i}] must be in (0, 1] for indicator payoffs, got {eps!r}")
         if self.payoff is not None and self.payoff.alphabet != self.spec.alphabet:
@@ -123,7 +115,7 @@ class ExperimentConfig:
                 f"payoff.values must be small enough that 2 * max|v| * (horizon + 1) is finite, "
                 f"got max|v| = {max_abs!r} at horizon {horizon}"
             )
-        return replace(self, **ints, schedules=schedules, eval_grid=grid, epsilons=tuple(self.epsilons))
+        return replace(self, **ints, schedules=schedules, eval_grid=grid, epsilons=epsilons)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ produce correlated PCG64 streams.
 from __future__ import annotations
 
 _MASK = (1 << 64) - 1
-MAX_SEED = _MASK  # base seeds are 64-bit words; any other integer would alias one of them
+MAX_SEED = _MASK  # base seeds are 64-bit words; any other integer would alias one of them, so it is refused
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
@@ -24,7 +24,9 @@ def mix64(z: int) -> int:
 
 
 def derive_seed(base_seed: int, index: int) -> int:
-    """Seed for stream ``index`` of a run keyed by ``base_seed``."""
+    """Seed for stream ``index`` of a run keyed by ``base_seed``, a 64-bit word."""
+    if not 0 <= base_seed <= MAX_SEED:
+        raise ValueError(f"base seed must be in 0..{MAX_SEED}, got {base_seed}")
     if index < 0:
         raise ValueError("index must be >= 0")
-    return mix64((base_seed + (index + 1) * _GOLDEN) & _MASK)
+    return mix64(base_seed + (index + 1) * _GOLDEN)

@@ -6,19 +6,15 @@ when abstaining.  Every finished field (abstained flag, distribution, payoff
 estimate) is built from the probe by one shared finisher in
 :mod:`nextsym.estimator`, so the suite compares probes.
 
-Each random sequence is checked in row blocks of consecutive prefixes, with
-rows times the sequence length at most ``_BLOCK_CELLS`` (2^19, 262 prefixes
-of a 2,000-symbol case), which bounds the block's match masks; the masks
-never leave the scan, and it forms its histograms over bounded slabs, so
-memory stays flat.  The scanning evaluator (``estimator._scan``) probes a
-whole block in one call; the streaming index is pushed and probed once per
-prefix, and its probes are packed into int64 arrays and compared with the
-block's.  The whole-sequence replay kernel (:mod:`nextsym.kernel`) is the
-third route: its context lengths, match counts and histograms are compared
-with the scanning arrays, one array comparison per field and case.
-
-The first failure is reported: the earliest prefix, and the kernel only once
-its case has passed the streaming comparison.
+Each random sequence is one case.  The scanning evaluator (``estimator._scan``)
+fills the case's probe arrays in row blocks of consecutive prefixes, with rows
+times the sequence length at most ``_BLOCK_CELLS`` (2^19, 262 prefixes of a
+2,000-symbol case), which bounds the block's match masks; the masks never leave
+the scan, and it forms its histograms over bounded slabs, so memory stays flat.
+The streaming index is pushed and probed once per prefix, its probes packed
+into int64 arrays, and the replay kernel (:mod:`nextsym.kernel`) replays the
+whole sequence.  One check compares each of the two with the scan, streaming
+first: the first failure is the earliest prefix where any field differs.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernel
-from .estimator import Schedules, _scan
+from .estimator import Schedules, _integer, _scan
 from .seeding import derive_seed
 from .sequences import Alphabet
 from .streaming import StreamingEstimator
@@ -63,8 +59,7 @@ def verify_equivalence(
     build and demonstrate that it reports a counterexample; ``schedules_for``
     maps an alphabet size to custom schedules (defaults otherwise).
     """
-    if cases < 1 or max_n < 1:
-        raise ValueError("need cases >= 1 and max_n >= 1")
+    cases, max_n = _integer(cases, "cases", 1), _integer(max_n, "max_n", 1)
     prefixes = 0
     for case in range(cases):
         rng = np.random.Generator(np.random.PCG64(derive_seed(seed, case)))
@@ -74,55 +69,42 @@ def verify_equivalence(
         alphabet = Alphabet.of_size(size)
         schedules = schedules_for(size) if schedules_for else Schedules.default(size)
         streaming = estimator_factory(alphabet, schedules, horizon=length - 1 if length > 1 else 1)
-
-        def fail(n: int, field: str, expected, got, route: str = "streaming") -> EquivalenceReport:
-            """The report of the first failure, at prefix n; from n = 40 on the
-            prefix shows its first 20 and last 20 symbols, through X_n."""
-            head = data[: n + 1].tolist()
-            return EquivalenceReport(
-                ok=False,
-                cases=cases,
-                prefixes_checked=prefixes,
-                counterexample={
-                    "case": case,
-                    "alphabet_size": size,
-                    "n": n,
-                    "route": route,
-                    "field": field,
-                    "scanning": expected,
-                    route: got,
-                    "prefix": head if n < 40 else head[:20] + ["..."] + head[-20:],
-                },
-            )
-
-        parts = [(p.kappa, p.matches, p.hist) for p in kernel.replay(data, size, schedules)]
-        replayed = [np.concatenate(field) for field in zip(*parts)]
         ns, caps, needs = np.arange(length), kernel._caps(schedules, 0, length), kernel._thresholds(schedules, 0, length)
         scanned = np.zeros(length, np.int64), np.zeros(length, np.int64), np.zeros((length, size), np.int64)
         step = max(1, _BLOCK_CELLS // length)
         for lo in range(0, length, step):
             block = ns[lo : lo + step]
-            want = _scan(data, block, caps[block], needs[block], size)
-            got = array("q")
-            for x in data[block].tolist():
-                streaming.push(x)
-                k, matches, hist = streaming.probe() or (0, 0, [0] * size)
-                got.extend([k, matches, *hist])
-            got = np.frombuffer(got, np.int64).reshape(len(block), -1)
-            got = got[:, 0], got[:, 1], got[:, 2:]
-            off = np.array([(w != g).reshape(len(block), -1).any(axis=1) for w, g in zip(want, got)])
+            for whole, part in zip(scanned, _scan(data, block, caps[block], needs[block], size)):
+                whole[block] = part
+        streamed = array("q")
+        for x in data.tolist():
+            streaming.push(x)
+            k, matches, hist = streaming.probe() or (0, 0, [0] * size)
+            streamed.extend([k, matches, *hist])
+        streamed = np.frombuffer(streamed, np.int64).reshape(length, -1)
+        streamed = streamed[:, 0], streamed[:, 1], streamed[:, 2:]
+        _, *replayed = zip(*kernel.replay(data, size, schedules))  # each part's start, kappa, matches, hist
+        for route, got in ("streaming", streamed), ("kernel", [np.concatenate(field) for field in replayed]):
+            off = np.array([(w != g).reshape(length, -1).any(axis=1) for w, g in zip(scanned, got)])
             bad = np.flatnonzero(off.any(axis=0))
-            if len(bad):
-                i = int(bad[0])
-                prefixes += i
-                f = int(np.argmax(off[:, i]))
-                return fail(lo + i, _FIELDS[f], want[f][i].tolist(), got[f][i].tolist())
-            prefixes += len(block)
-            for whole, w in zip(scanned, want):
-                whole[block] = w
-        for field, w, g in zip(_FIELDS, scanned, replayed):
-            if not np.array_equal(w, g):
-                n = int(np.flatnonzero((w != g).reshape(length, -1).any(axis=1))[0])
-                return fail(n, field, w[n].tolist(), g[n].tolist(), "kernel")
+            if len(bad):  # the earliest prefix where any field differs, and the first field there
+                n = int(bad[0])
+                f = int(np.argmax(off[:, n]))
+                head = data[: n + 1].tolist()  # from n = 40 on: the first 20 and last 20 symbols, through X_n
+                return EquivalenceReport(
+                    ok=False,
+                    cases=cases,
+                    prefixes_checked=prefixes + (n if route == "streaming" else length),
+                    counterexample={
+                        "case": case,
+                        "alphabet_size": size,
+                        "n": n,
+                        "route": route,
+                        "field": _FIELDS[f],
+                        "scanning": scanned[f][n].tolist(),
+                        route: got[f][n].tolist(),
+                        "prefix": head if n < 40 else head[:20] + ["..."] + head[-20:],
+                    },
+                )
+        prefixes += length
     return EquivalenceReport(ok=True, cases=cases, prefixes_checked=prefixes, counterexample=None)
-

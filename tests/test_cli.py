@@ -310,6 +310,39 @@ class TestVerify:
         assert (ce["route"], ce["case"], ce["n"], ce["field"]) == ("kernel", 0, 15, "histogram")
         assert (ce["scanning"], ce["kernel"]) == ([1, 3, 7], [2, 3, 7])
 
+    def test_kernel_counterexample_is_the_earliest_prefix(self, monkeypatch):
+        replay = kernel.replay
+
+        def two_bugs(*args, **kwargs):
+            # the histogram is off at n = 300, the context length only later, at n = 900
+            for part in replay(*args, **kwargs):
+                for n, column in ((300, part.hist[:, 0]), (900, part.kappa)):
+                    if part.start <= n < part.start + len(part.kappa):
+                        column[n - part.start] += 1
+                yield part
+
+        monkeypatch.setattr(kernel, "replay", two_bugs)
+        report = verify_equivalence(cases=1, max_n=2000, seed=2026)
+        ce = report.counterexample
+        assert not report.ok and report.prefixes_checked == 1840
+        assert (ce["route"], ce["case"], ce["n"], ce["field"]) == ("kernel", 0, 300, "histogram")
+        assert ce["kernel"][0] == ce["scanning"][0] + 1 and ce["kernel"][1:] == ce["scanning"][1:]
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_n": 2.5}, "max_n must be an integer, got 2.5"),
+            ({"cases": 3.0}, "cases must be an integer, got 3.0"),
+            ({"cases": True}, "cases must be an integer, got True"),
+            ({"max_n": 0}, "max_n must be >= 1, got 0"),
+            ({"cases": -1}, "cases must be >= 1, got -1"),
+        ],
+    )
+    def test_arguments_are_integers_of_at_least_one(self, kwargs, message):
+        # max_n 2.5 ran 2-symbol cases and reported ok; cases=True reported "cases: True"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            verify_equivalence(**{"cases": 1, "max_n": 2, **kwargs})
+
     def test_break_at_long_contexts_needs_deep_schedules(self):
         class DeepBug(StreamingEstimator):
             def probe(self):

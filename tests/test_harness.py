@@ -24,6 +24,7 @@ from nextsym import harness
 from nextsym.config import build_schedules
 from nextsym.estimator import LogK, SqrtJ
 from nextsym.harness import _wilson_halfwidth, default_eval_grid
+from nextsym.verify import verify_equivalence
 
 BINARY = Alphabet("01")
 COIN = IIDProcess(BINARY, (0.5, 0.5))
@@ -46,6 +47,16 @@ class TestSeeding:
         assert 0 <= derive_seed(2**64 - 1, 0) < 2**64
         with pytest.raises(ValueError):
             derive_seed(1, -1)
+
+    @pytest.mark.parametrize("base_seed", [-1, 2**64, 2**64 + 5])
+    def test_refuses_seeds_that_would_alias(self, base_seed):
+        # the seed was masked to 64 bits: -1 ran as 2**64 - 1 and 2**64 + 5 as 5, in every check and in verify
+        with pytest.raises(ValueError, match=f"base seed must be in 0..{2**64 - 1}, got {base_seed}"):
+            derive_seed(base_seed, 0)
+        with pytest.raises(ValueError, match="base seed"):
+            verify_equivalence(cases=3, max_n=50, seed=base_seed)
+        with pytest.raises(ValueError, match="base seed"):
+            check_return_time_bound(COIN, window=8, threshold=2, replicates=5, block=(1,), base_seed=base_seed)
 
     def test_distinct_streams(self):
         seeds = {derive_seed(999, i) for i in range(1000)}
@@ -86,14 +97,28 @@ class TestConfig:
             ("replicates", 2.0, "replicates must be an integer, got 2.0"),
             ("workers", 1.5, "workers must be an integer, got 1.5"),
             ("base_seed", 3.5, "base_seed must be an integer, got 3.5"),
+            ("horizon", True, "horizon must be an integer, got True"),
+            ("replicates", True, "replicates must be an integer, got True"),
+            ("eval_grid", (True,), r"eval_grid\[0\] must be an integer, got True"),
+            ("workers", True, "workers must be an integer, got True"),
         ],
-        ids=["grid-float", "grid-str", "horizon", "replicates", "workers", "base_seed"],
+        ids=["grid-float", "grid-str", "horizon", "replicates", "workers", "base_seed"]
+        + ["horizon-bool", "replicates-bool", "grid-bool", "workers-bool"],
     )
     def test_integer_fields_are_not_truncated(self, field, value, message):
         # int() turned the grid (2.5, 7.9) into rows at n = 2 and 7, and accepted workers=1.5
         cfg = replace(ExperimentConfig(spec=COIN, horizon=10, replicates=1), **{field: value})
         with pytest.raises(ValueError, match=message):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize(
+        "epsilons, message",
+        [(("a",), r"epsilons\[0\] must be a positive finite number, got 'a'"), (0.1, "epsilons must be a sequence")],
+    )
+    def test_epsilons_must_be_numbers(self, epsilons, message):
+        # a bare TypeError escaped: "'<' not supported ..." and "'float' object is not iterable"
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(spec=COIN, horizon=10, replicates=1, epsilons=epsilons).resolved()
 
     def test_integer_fields_accept_numpy_integers(self):
         cfg = ExperimentConfig(spec=COIN, horizon=np.int64(10), replicates=1, eval_grid=(np.int32(3),)).resolved()

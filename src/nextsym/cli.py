@@ -23,6 +23,7 @@ from pathlib import Path
 from . import __version__
 from .config import (
     ConfigError,
+    _integer,
     build_alphabet,
     build_experiment,
     build_lemma_plan,
@@ -133,9 +134,7 @@ def cmd_simulate(args) -> int:
     schedules = build_schedules(doc, spec.alphabet)
     cfg = build_experiment(doc, spec, schedules)
     if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
-        cfg = replace(cfg, workers=args.workers)
+        cfg = replace(cfg, workers=_integer(args.workers, "--workers", 1))
     if args.wide and cfg.payoff is not None:
         raise ConfigError("--wide requires a distribution payoff (experiment.payoff.kind=distribution)")
     started = _utcnow()
@@ -195,12 +194,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    for flag, value in (("--cases", args.cases), ("--max-n", args.max_n)):
-        if value < 1:
-            raise ConfigError(f"{flag} must be >= 1")
-    if not 0 <= args.seed <= MAX_SEED:
-        raise ConfigError(f"--seed must be in 0..{MAX_SEED}, got {args.seed}")
-    report = verify_equivalence(cases=args.cases, max_n=args.max_n, seed=args.seed)
+    cases, max_n = _integer(args.cases, "--cases", 1), _integer(args.max_n, "--max-n", 1)
+    report = verify_equivalence(cases=cases, max_n=max_n, seed=_integer(args.seed, "--seed", 0, MAX_SEED))
     if report.ok:
         print(
             f"equivalence ok: {report.cases} sequences, "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .estimator import SCHEDULE_CAP, ConstantSchedule, LinearJ, LogK, PayoffFunction, Schedules, schedule_J
 from .processes import MAX_BLOCKS, HiddenMarkovProcess, IIDProcess, MarkovProcess, ProcessSpec, block_space_fits
 from .seeding import MAX_SEED
-from .sequences import MAX_ALPHABET, Alphabet
+from .sequences import MAX_ALPHABET, Alphabet, _integer as _read_integer
 
 __all__ = [
     "ConfigError",
@@ -71,13 +71,11 @@ def _number(value, path: str) -> float:
 
 
 def _integer(value, path: str, low: int, high: int | None = None) -> int:
-    """An integer in [low, high] (no upper end when high is None)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer, got {value!r}")
-    if value < low or high is not None and value > high:
-        span = f">= {low}" if high is None else f"in {low}..{high}"
-        raise ConfigError(f"{path} must be {span}, got {value}")
-    return value
+    """The library's integer reader, failing with a ConfigError."""
+    try:
+        return _read_integer(value, path, low, high)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _matrix(value, path: str) -> list:
@@ -234,33 +232,17 @@ def build_experiment(doc: dict, spec: ProcessSpec, schedules: Schedules) -> "Exp
     section = doc.get("experiment")
     if not isinstance(section, dict):
         raise ConfigError("experiment section is required and must be an object")
-    horizon = _integer(section.get("horizon"), "experiment.horizon", 1)
-    replicates = _integer(section.get("replicates", 1), "experiment.replicates", 1)
-    base_seed = _integer(section.get("base_seed", 0), "experiment.base_seed", 0, MAX_SEED)
-    workers = _integer(section.get("workers", 1), "experiment.workers", 1)
-    grid = section.get("eval_grid")
-    if grid is not None:
-        if not isinstance(grid, list) or not grid:
-            raise ConfigError("experiment.eval_grid must be a non-empty list of integers")
-        grid = tuple(_integer(v, f"experiment.eval_grid[{i}]", 1, horizon) for i, v in enumerate(grid))
     epsilons = section.get("epsilons")
-    if epsilons is None:
-        epsilons = (0.05, 0.1)
-    else:
-        if not isinstance(epsilons, list) or not epsilons:
-            raise ConfigError("experiment.epsilons must be a non-empty list of numbers")
-        epsilons = tuple(_number(v, f"experiment.epsilons[{i}]") for i, v in enumerate(epsilons))
-    payoff = build_payoff(section.get("payoff"), spec.alphabet)
-    cfg = ExperimentConfig(
+    cfg = ExperimentConfig(  # resolved() checks every field; JSON null is the default only for the two lists
         spec=spec,
-        horizon=horizon,
-        replicates=replicates,
+        horizon=section.get("horizon"),
+        replicates=section.get("replicates", 1),
         schedules=schedules,
-        eval_grid=grid,
-        epsilons=epsilons,
-        payoff=payoff,
-        base_seed=base_seed,
-        workers=workers,
+        eval_grid=section.get("eval_grid"),
+        epsilons=ExperimentConfig.epsilons if epsilons is None else epsilons,
+        payoff=build_payoff(section.get("payoff"), spec.alphabet),
+        base_seed=section.get("base_seed", 0),
+        workers=section.get("workers", 1),
     )
     try:
         return cfg.resolved()

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .sequences import Alphabet, SymbolSequence
+from .sequences import Alphabet, SymbolSequence, _integer
 
 __all__ = [
     "Schedules",
@@ -68,19 +68,6 @@ class SqrtJ:
 schedule_J = SqrtJ()
 
 
-def _integer(value, field: str, low: int | None = None) -> int:
-    """value as an int of at least ``low``; a bool or a float, even a whole one, raises naming the field."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{field} must be an integer, got {value!r}") from None
-    if low is not None and value < low:
-        raise ValueError(f"{field} must be >= {low}, got {value}")
-    return value
-
-
 def _schedule_value(schedule: Callable[[int], int], n: int) -> int:
     """schedule(n) as an int; any value that is no integer, a float as well, raises."""
     value = schedule(n)
@@ -109,9 +96,7 @@ class Schedules:
 
     @classmethod
     def default(cls, alphabet_size: int) -> "Schedules":
-        if alphabet_size < 2:
-            raise ValueError("alphabet_size must be >= 2")
-        return cls(K=LogK(alphabet_size, 0.1), J=schedule_J)
+        return cls(K=LogK(_integer(alphabet_size, "alphabet_size", 2), 0.1), J=schedule_J)
 
 
 def _decimal_ratio(x: float) -> tuple:
@@ -145,8 +130,7 @@ class LogK:
     __slots__ = ("base", "coeff", "_p", "_q", "_lo", "_hi", "_value")
 
     def __init__(self, base: int, coeff: float):
-        if base < 2:
-            raise ValueError("base must be >= 2")
+        base = _integer(base, "base", 2)
         if not 0 < coeff < math.inf:
             raise ValueError("coeff must be a positive finite number")
         p, q = _decimal_ratio(coeff)
@@ -173,9 +157,7 @@ class LogK:
 
     def value(self, n: int) -> int:
         """K(n) without touching the bracket cache."""
-        n = operator.index(n)
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        n = _integer(n, "n", 1)
         m = max(1, int(self.coeff * math.log(n) / math.log(self.base)))
         while self._reaches(n, m + 1):
             m += 1
@@ -229,10 +211,7 @@ class ConstantSchedule:
     __slots__ = ("value",)
 
     def __init__(self, value: int):
-        try:
-            self.value = operator.index(value)
-        except TypeError:
-            raise ValueError(f"ConstantSchedule value must be an integer, got {value!r}") from None
+        self.value = _integer(value, "ConstantSchedule value")
 
     def __call__(self, n: int) -> int:
         if n < 1:
@@ -347,9 +326,8 @@ def recurrence_times(seq: SymbolSequence, n: int, k: int) -> list[int]:
     one per in-segment occurrence: each earlier start s < n-k+1 whose window
     X_{s..s+k-1} equals the suffix X_{n-k+1..n} gives t = n-k+1-s.
     """
-    _check_position(seq, n)
-    if not 1 <= k <= n + 1:
-        raise ValueError(f"k={k} outside [1, n+1]={n + 1}")
+    n = _integer(n, "n", 0, len(seq) - 1)
+    k = _integer(k, "k", 1, n + 1)
     arr, last = seq.as_array(), n - k + 1
     hit = np.ones(last, bool)
     for i in range(k):
@@ -362,7 +340,7 @@ def probe(seq: SymbolSequence, n: int, schedules: Schedules):
     abstaining (n = 0, K(n) < 1, or no block met the threshold max(J(n), 1));
     the scanning counterpart of :meth:`~nextsym.streaming.StreamingEstimator.probe`,
     as a one-row call of :func:`_scan`."""
-    _check_position(seq, n)
+    n = _integer(n, "n", 0, len(seq) - 1)
     if n == 0 or (cap := min(_schedule_value(schedules.K, n), n + 1)) < 1:
         return None
     need = min(max(_schedule_value(schedules.J, n), 1), n + 1)  # no count exceeds n, so the clamp decides as J(n) does
@@ -466,8 +444,3 @@ def _scan(arr: np.ndarray, ns: np.ndarray, caps: np.ndarray, needs: np.ndarray, 
             for lo in range(0, len(rows), step):
                 hist[rows[lo : lo + step]] = mask[lo : lo + step] @ onehot
     return kappa, hist.sum(1), hist
-
-
-def _check_position(seq: SymbolSequence, n: int) -> None:
-    if not 0 <= n < len(seq):
-        raise ValueError(f"position n={n} outside sequence of length {len(seq)}")

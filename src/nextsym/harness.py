@@ -33,10 +33,11 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel
-from .estimator import SCHEDULE_CAP, PayoffFunction, Schedules, _integer, _schedule_value, payoff_means, probe
+from .estimator import SCHEDULE_CAP, PayoffFunction, Schedules, _schedule_value, payoff_means, probe
 from .estimator import recurrence_times
 from .processes import Oracle, ProcessSpec, generate, stationary_block_law
 from .seeding import MAX_SEED, derive_seed
+from .sequences import _integer
 
 __all__ = [
     "ExperimentConfig",
@@ -53,6 +54,19 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+
+
+def _entries(value, field: str, kind: str) -> tuple:
+    """value as a non-empty tuple; a string or a non-iterable raises naming the field."""
+    try:
+        if isinstance(value, str):
+            raise TypeError
+        entries = tuple(value)
+    except TypeError:
+        raise ValueError(f"{field} must be a sequence of {kind}, got {value!r}") from None
+    if not entries:
+        raise ValueError(f"{field} must not be empty")
+    return entries
 
 
 def default_eval_grid(horizon: int) -> tuple:
@@ -84,26 +98,19 @@ class ExperimentConfig:
     def resolved(self) -> "ExperimentConfig":
         """Validate and fill defaults, returning a self-contained config."""
         ints = {name: _integer(getattr(self, name), name, 1) for name in ("horizon", "replicates", "workers")}
-        ints["base_seed"] = _integer(self.base_seed, "base_seed")
+        ints["base_seed"] = _integer(self.base_seed, "base_seed", 0, MAX_SEED)
         horizon = ints["horizon"]
-        if not 0 <= ints["base_seed"] <= MAX_SEED:
-            raise ValueError("base_seed must be a 64-bit unsigned integer")
         schedules = self.schedules or Schedules.default(self.spec.alphabet.size)
-        grid = self.eval_grid if self.eval_grid is not None else default_eval_grid(horizon)
-        grid = tuple(sorted({_integer(n, f"eval_grid[{i}]") for i, n in enumerate(grid)}))
-        if not grid:
-            raise ValueError("eval_grid must not be empty")
-        if grid[0] < 1 or grid[-1] > horizon:
-            raise ValueError(f"eval_grid must lie within [1, {horizon}]")
-        try:
-            epsilons = tuple(self.epsilons)
-        except TypeError:
-            raise ValueError(f"epsilons must be a sequence of numbers, got {self.epsilons!r}") from None
-        if not epsilons:
-            raise ValueError("epsilons must not be empty")
+        grid = self.eval_grid
+        grid = default_eval_grid(horizon) if grid is None else _entries(grid, "eval_grid", "integers")
+        grid = tuple(sorted({_integer(n, f"eval_grid[{i}]", 1, horizon) for i, n in enumerate(grid)}))
+        epsilons = tuple(
+            float(e) if isinstance(e, numbers.Real) and not isinstance(e, bool) else e
+            for e in _entries(self.epsilons, "epsilons", "numbers")
+        )
         indicator_like = self.payoff is None or set(self.payoff.values) <= {0.0, 1.0}
         for i, eps in enumerate(epsilons):
-            if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0 < eps < math.inf:
+            if not isinstance(eps, float) or not 0 < eps < math.inf:
                 raise ValueError(f"epsilons[{i}] must be a positive finite number, got {eps!r}")
             if indicator_like and eps > 1:
                 raise ValueError(f"epsilons[{i}] must be in (0, 1] for indicator payoffs, got {eps!r}")
@@ -312,14 +319,9 @@ def check_lemma_resampling(
     The resampled coordinates start one step after the located occurrence,
     so trajectories are generated ``block_len - 1`` steps past n.
     """
-    if k < 1 or j < 1 or n < 0:
-        raise ValueError("need k >= 1, j >= 1, n >= 0")
-    if k > n + 1:
-        raise ValueError(f"k={k} exceeds n+1={n + 1}")
-    if not 1 <= block_len <= 3:
-        raise ValueError("block_len must be in 1..3")
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
+    n = _integer(n, "n", 0)
+    k, j = _integer(k, "k", 1, n + 1), _integer(j, "j", 1)
+    replicates, block_len = _integer(replicates, "replicates", 1), _integer(block_len, "block_len", 1, 3)
     size = spec.alphabet.size
     horizon = max(1, n + block_len - 1)
     counts = [0] * size**block_len
@@ -434,8 +436,7 @@ def check_kappa_divergence(
     schedule cap at the horizon in more than 95% of replicates."""
     import statistics  # imported here so CLI start-up does not load it
 
-    if horizon < 1 or replicates < 1:
-        raise ValueError("need horizon >= 1 and replicates >= 1")
+    horizon, replicates = _integer(horizon, "horizon", 1), _integer(replicates, "replicates", 1)
     schedules = schedules or Schedules.default(spec.alphabet.size)
     note = _schedule_hypothesis_note(schedules, horizon)
     grid = default_eval_grid(horizon)
@@ -516,15 +517,13 @@ def check_return_time_bound(
     """Estimate P(block at time 0 and fewer than ``threshold`` occurrences in
     the first ``window`` shifts); pass when the frequency is within
     threshold/window plus three binomial sigmas."""
-    block = tuple(int(b) for b in block)
+    size = spec.alphabet.size
+    block = tuple(_integer(b, f"block[{i}]", 0, size - 1) for i, b in enumerate(block))
     k = len(block)
     if k < 1:
         raise ValueError("block must be nonempty")
-    size = spec.alphabet.size
-    if any(not 0 <= b < size for b in block):
-        raise ValueError("block symbols outside alphabet")
-    if window < 1 or threshold < 1 or replicates < 1:
-        raise ValueError("need window >= 1, threshold >= 1, replicates >= 1")
+    window, threshold = _integer(window, "window", 1), _integer(threshold, "threshold", 1)
+    replicates = _integer(replicates, "replicates", 1)
     events = 0
     horizon = window + k - 1
     for r in range(replicates):

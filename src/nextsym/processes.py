@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Union
 
 import numpy as np
 
-from .sequences import Alphabet, SymbolSequence
+from .sequences import Alphabet, SymbolSequence, _integer
 
 __all__ = [
     "IIDProcess",
@@ -203,8 +203,7 @@ class MarkovProcess:
 
     def __post_init__(self):
         size = self.alphabet.size
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
+        object.__setattr__(self, "order", _integer(self.order, "order", 1))
         if not block_space_fits(size, self.order):
             raise ValueError(f"alphabet^order = {size}^{self.order} exceeds supported {MAX_BLOCKS} contexts")
         n_ctx = size**self.order
@@ -467,8 +466,7 @@ def _checked(pi: np.ndarray, stepped: np.ndarray) -> np.ndarray:
 def stationary_block_law(spec: ProcessSpec, length: int) -> np.ndarray:
     """Stationary probability of every length-``length`` block, indexed by the
     block's base-|alphabet| code (earliest symbol most significant)."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    length = _integer(length, "length", 1)
     if not block_space_fits(spec.alphabet.size, length):
         raise ValueError("block space too large")
     return spec._block_law(length)
@@ -587,8 +585,7 @@ def generate(spec: ProcessSpec, seed: int, horizon: int) -> Trajectory:
     :func:`_walk`); both make the same picks, so the bytes depend on neither
     the chunk size nor the route.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    horizon = _integer(horizon, "horizon", 1)
     rng = np.random.Generator(np.random.PCG64(seed))
     data = spec._draw(rng, horizon + 1)
     return Trajectory(seq=SymbolSequence(spec.alphabet, data))
@@ -621,8 +618,7 @@ class Oracle:
         A ``chunk`` below 1, a history of probability zero, or a symbol
         outside the alphabet raises ``ValueError``; the chunk and the
         symbols are checked before any row."""
-        if chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
+        chunk = _integer(chunk, "chunk", 1)
         size = self.spec.alphabet.size
         if len(seq) and not 0 <= seq.min() <= seq.max() < size:
             raise ValueError(f"symbol index {seq[(seq < 0) | (seq >= size)][0]} outside alphabet")

@@ -8,6 +8,8 @@ produce correlated PCG64 streams.
 
 from __future__ import annotations
 
+from .sequences import _integer
+
 _MASK = (1 << 64) - 1
 MAX_SEED = _MASK  # base seeds are 64-bit words; any other integer would alias one of them, so it is refused
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -25,8 +27,5 @@ def mix64(z: int) -> int:
 
 def derive_seed(base_seed: int, index: int) -> int:
     """Seed for stream ``index`` of a run keyed by ``base_seed``, a 64-bit word."""
-    if not 0 <= base_seed <= MAX_SEED:
-        raise ValueError(f"base seed must be in 0..{MAX_SEED}, got {base_seed}")
-    if index < 0:
-        raise ValueError("index must be >= 0")
-    return mix64(base_seed + (index + 1) * _GOLDEN)
+    base_seed = _integer(base_seed, "base seed", 0, MAX_SEED)
+    return mix64(base_seed + (_integer(index, "index", 0) + 1) * _GOLDEN)

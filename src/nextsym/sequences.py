@@ -14,6 +14,21 @@ import numpy as np
 MAX_ALPHABET = 256  # index storage is one byte per symbol
 
 
+def _integer(value, field: str, low: int | None = None, high: int | None = None) -> int:
+    """value as an int in ``low..high`` (open where None); NumPy integers
+    pass, a bool or a float, even a whole one, raises naming the field."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{field} must be an integer, got {value!r}") from None
+    if low is not None and value < low or high is not None and value > high:
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{field} must be {span}, got {value}")
+    return value
+
+
 class Alphabet:
     """An ordered set of at least two distinct symbols.
 
@@ -41,7 +56,7 @@ class Alphabet:
     @classmethod
     def of_size(cls, size: int) -> "Alphabet":
         """Alphabet '0', '1', ... of the given size."""
-        return cls(str(i) for i in range(size))
+        return cls(str(i) for i in range(_integer(size, "size")))
 
     @property
     def size(self) -> int:

@@ -14,7 +14,7 @@ injective for a fixed length, so no hashing of symbol slices is involved.
 from __future__ import annotations
 
 from .estimator import DistributionEstimate, EstimateResult, PayoffFunction, Schedules, _schedule_value
-from .sequences import Alphabet
+from .sequences import Alphabet, _integer
 
 __all__ = ["StreamingEstimator", "CapacityError"]
 
@@ -39,8 +39,7 @@ class StreamingEstimator:
     __slots__ = ("seq", "schedules", "horizon", "k_max", "_stats", "_codes", "_size")
 
     def __init__(self, alphabet: Alphabet, schedules: Schedules | None = None, horizon: int = 1 << 20):
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        horizon = _integer(horizon, "horizon", 1)
         self.seq = bytearray()
         self.schedules = schedules if schedules is not None else Schedules.default(alphabet.size)
         self.horizon = horizon

@@ -26,9 +26,9 @@ from typing import Callable
 import numpy as np
 
 from . import kernel
-from .estimator import Schedules, _integer, _scan
+from .estimator import Schedules, _scan
 from .seeding import derive_seed
-from .sequences import Alphabet
+from .sequences import Alphabet, _integer
 from .streaming import StreamingEstimator
 
 __all__ = ["EquivalenceReport", "verify_equivalence"]

@@ -58,6 +58,15 @@ LEMMA_RANGES = {
     ("return_time", "replicates"): (1, None),
 }
 
+# the range resolved() accepts for an experiment field; the documents with an eval_grid have horizon 512
+EXPERIMENT_RANGES = {
+    ("experiment", "horizon"): (1, None),
+    ("experiment", "replicates"): (1, None),
+    ("experiment", "workers"): (1, None),
+    ("experiment", "base_seed"): (0, 2**64 - 1),
+    **{("experiment", "eval_grid", i): (1, 512) for i in range(3)},
+}
+
 MUTATIONS = {
     "wrong type": [True, None, "x", {}, [1]],
     "zero": [0, 0.0],
@@ -113,6 +122,11 @@ def _parses_or_config_error(parse, doc) -> bool:
     return True
 
 
+def _assert_in_range(value, low, high):
+    assert isinstance(value, int) and not isinstance(value, bool)
+    assert low <= value and (high is None or value <= high)
+
+
 def test_unmodified_documents_parse():
     for doc in SIMULATE_DOCS:
         _parse_simulate(doc)
@@ -123,7 +137,8 @@ def test_unmodified_documents_parse():
 @given(case=st.sampled_from(SIMULATE_CASES), value=st.sampled_from(VALUES))
 def test_simulate_field_mutation_parses_or_raises_config_error(case, value):
     doc, path = case
-    _parses_or_config_error(_parse_simulate, _replaced(doc, path, value))
+    if _parses_or_config_error(_parse_simulate, _replaced(doc, path, value)) and path in EXPERIMENT_RANGES:
+        _assert_in_range(value, *EXPERIMENT_RANGES[path])  # accepted only within the range resolved() takes
 
 
 @settings(max_examples=500, deadline=None)
@@ -131,7 +146,5 @@ def test_simulate_field_mutation_parses_or_raises_config_error(case, value):
 def test_lemmas_field_mutation_parses_or_raises_config_error(path, value):
     doc = _replaced(LEMMAS_DOC, path, value)
     if _parses_or_config_error(_parse_lemmas, doc) and path in LEMMA_RANGES:
-        low, high = LEMMA_RANGES[path]  # accepted only within the range its check takes
-        assert isinstance(value, int) and not isinstance(value, bool)
-        assert low <= value and (high is None or value <= high)
+        _assert_in_range(value, *LEMMA_RANGES[path])  # accepted only within the range its check takes
 

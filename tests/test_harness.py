@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,20 +10,25 @@ from nextsym import (
     ExperimentConfig,
     IIDProcess,
     MarkovProcess,
+    Oracle,
     PayoffFunction,
     Schedules,
+    StreamingEstimator,
+    SymbolSequence,
     check_kappa_divergence,
     check_lemma_resampling,
     check_return_time_bound,
     derive_seed,
     estimate,
     generate,
+    recurrence_times,
     run_experiment,
     schedule_J,
+    stationary_block_law,
 )
 from nextsym import harness
 from nextsym.config import build_schedules
-from nextsym.estimator import LogK, SqrtJ
+from nextsym.estimator import ConstantSchedule, LogK, SqrtJ, probe
 from nextsym.harness import _wilson_halfwidth, default_eval_grid
 from nextsym.verify import verify_equivalence
 
@@ -48,10 +54,15 @@ class TestSeeding:
         with pytest.raises(ValueError):
             derive_seed(1, -1)
 
-    @pytest.mark.parametrize("base_seed", [-1, 2**64, 2**64 + 5])
+    @pytest.mark.parametrize("base_seed", [-1, 2**64, 2**64 + 5, 5.0, True])
     def test_refuses_seeds_that_would_alias(self, base_seed):
-        # the seed was masked to 64 bits: -1 ran as 2**64 - 1 and 2**64 + 5 as 5, in every check and in verify
-        with pytest.raises(ValueError, match=f"base seed must be in 0..{2**64 - 1}, got {base_seed}"):
+        # the seed was masked to 64 bits: -1 ran as 2**64 - 1 and 2**64 + 5 as 5, in every check and in verify;
+        # True ran as 1, and 5.0 escaped from mix64 as a bare TypeError
+        if type(base_seed) is int:
+            message = f"base seed must be in 0..{2**64 - 1}, got {base_seed}"
+        else:
+            message = f"base seed must be an integer, got {base_seed!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             derive_seed(base_seed, 0)
         with pytest.raises(ValueError, match="base seed"):
             verify_equivalence(cases=3, max_n=50, seed=base_seed)
@@ -101,9 +112,10 @@ class TestConfig:
             ("replicates", True, "replicates must be an integer, got True"),
             ("eval_grid", (True,), r"eval_grid\[0\] must be an integer, got True"),
             ("workers", True, "workers must be an integer, got True"),
+            ("eval_grid", 5, "eval_grid must be a sequence of integers, got 5"),
         ],
         ids=["grid-float", "grid-str", "horizon", "replicates", "workers", "base_seed"]
-        + ["horizon-bool", "replicates-bool", "grid-bool", "workers-bool"],
+        + ["horizon-bool", "replicates-bool", "grid-bool", "workers-bool", "grid-scalar"],
     )
     def test_integer_fields_are_not_truncated(self, field, value, message):
         # int() turned the grid (2.5, 7.9) into rows at n = 2 and 7, and accepted workers=1.5
@@ -432,3 +444,40 @@ def test_default_eval_grid_shape():
 def test_schedule_J_growth_used_by_hypothesis_check():
     ratios = [schedule_J(n) / n for n in (16, 256, 4096)]
     assert ratios == sorted(ratios, reverse=True)
+
+
+SEQ = SymbolSequence(BINARY, [0, 1] * 6)
+INTEGER_ARGUMENTS = [
+    pytest.param("n", lambda v: check_lemma_resampling(COIN, k=1, j=1, n=v, replicates=2), id="resampling-n"),
+    pytest.param("k", lambda v: check_lemma_resampling(COIN, k=v, j=1, n=10, replicates=2), id="resampling-k"),
+    pytest.param("j", lambda v: check_lemma_resampling(COIN, k=1, j=v, n=10, replicates=2), id="resampling-j"),
+    pytest.param("replicates", lambda v: check_lemma_resampling(COIN, 1, 1, 10, replicates=v), id="resampling-reps"),
+    pytest.param("block_len", lambda v: check_lemma_resampling(COIN, 1, 1, 10, 2, block_len=v), id="resampling-len"),
+    pytest.param("horizon", lambda v: check_kappa_divergence(COIN, v, 2), id="divergence-horizon"),
+    pytest.param("replicates", lambda v: check_kappa_divergence(COIN, 64, v), id="divergence-reps"),
+    pytest.param("window", lambda v: check_return_time_bound(COIN, v, 1, 2, (1,)), id="return-window"),
+    pytest.param("threshold", lambda v: check_return_time_bound(COIN, 8, v, 2, (1,)), id="return-threshold"),
+    pytest.param("replicates", lambda v: check_return_time_bound(COIN, 8, 1, v, (1,)), id="return-reps"),
+    pytest.param("block[0]", lambda v: check_return_time_bound(COIN, 8, 1, 2, (v,)), id="return-block"),
+    pytest.param("ConstantSchedule value", ConstantSchedule, id="ConstantSchedule"),
+    pytest.param("base", lambda v: LogK(v, 0.5), id="LogK"),
+    pytest.param("alphabet_size", Schedules.default, id="Schedules.default"),
+    pytest.param("order", lambda v: MarkovProcess(BINARY, v, FLIP.rows), id="MarkovProcess"),
+    pytest.param("size", Alphabet.of_size, id="Alphabet.of_size"),
+    pytest.param("horizon", lambda v: generate(COIN, 1, v), id="generate"),
+    pytest.param("index", lambda v: derive_seed(0, v), id="derive_seed-index"),
+    pytest.param("horizon", lambda v: StreamingEstimator(BINARY, horizon=v), id="StreamingEstimator"),
+    pytest.param("length", lambda v: stationary_block_law(COIN, v), id="stationary_block_law"),
+    pytest.param("chunk", lambda v: list(Oracle(COIN).conditionals(SEQ.as_array(), v)), id="Oracle.conditionals"),
+    pytest.param("n", lambda v: probe(SEQ, v, Schedules.default(2)), id="probe"),
+    pytest.param("n", lambda v: recurrence_times(SEQ, v, 1), id="recurrence_times-n"),
+    pytest.param("k", lambda v: recurrence_times(SEQ, 5, v), id="recurrence_times-k"),
+]
+
+
+@pytest.mark.parametrize("value", [2.0, True])
+@pytest.mark.parametrize("field, call", INTEGER_ARGUMENTS)
+def test_integer_arguments_refuse_floats_and_bools(field, call, value):
+    # a float was truncated, escaped as a bare TypeError or failed only at first use; True ran as 1
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+        call(value)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .estimator import SCHEDULE_CAP, ConstantSchedule, LinearJ, LogK, PayoffFunction, Schedules, schedule_J
 from .processes import MAX_BLOCKS, HiddenMarkovProcess, IIDProcess, MarkovProcess, ProcessSpec, block_space_fits
 from .seeding import MAX_SEED
-from .sequences import MAX_ALPHABET, Alphabet, _integer as _read_integer
+from .sequences import MAX_ALPHABET, Alphabet, _integer as _read_integer, _real
 
 __all__ = [
     "ConfigError",
@@ -65,9 +65,10 @@ def _reject_non_finite(value, path: str) -> None:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    number = _real(value)
+    if not isinstance(number, float) or not math.isfinite(number):
         raise ConfigError(f"{path} must be a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _integer(value, path: str, low: int, high: int | None = None) -> int:

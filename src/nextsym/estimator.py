@@ -56,13 +56,13 @@ class SqrtJ:
         return math.isqrt(n - 1) + 1
 
     def values(self, lo: int, hi: int) -> np.ndarray:
-        """J(n) for n in [lo, hi) as an int64 array: a float square root
-        corrected to the integer one."""
-        m = np.arange(lo - 1, hi - 1, dtype=np.int64)  # n - 1
-        r = np.sqrt(m).astype(np.int64)  # isqrt(n - 1), or one off it
-        r -= r * r > m
-        r += (r + 1) * (r + 1) <= m
-        return r + 1
+        """J(n) for n in [lo, hi) as an int64 array, from its step positions:
+        J steps to r + 1 at n = r^2 + 1."""
+        if hi <= lo:
+            return np.zeros(0, np.int64)
+        r = np.arange(math.isqrt(lo - 1), math.isqrt(hi - 2) + 2, dtype=np.int64)
+        steps = np.clip(r * r + 1, lo, hi)  # where J becomes r + 1, within the range
+        return np.repeat(r[:-1] + 1, np.diff(steps))
 
 
 schedule_J = SqrtJ()

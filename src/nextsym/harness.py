@@ -24,7 +24,6 @@ divergence check, and the short-return-time bound.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass, replace
 from functools import partial
@@ -37,7 +36,7 @@ from .estimator import SCHEDULE_CAP, PayoffFunction, Schedules, _schedule_value,
 from .estimator import recurrence_times
 from .processes import Oracle, ProcessSpec, generate, stationary_block_law
 from .seeding import MAX_SEED, derive_seed
-from .sequences import _integer
+from .sequences import _integer, _real
 
 __all__ = [
     "ExperimentConfig",
@@ -104,10 +103,7 @@ class ExperimentConfig:
         grid = self.eval_grid
         grid = default_eval_grid(horizon) if grid is None else _entries(grid, "eval_grid", "integers")
         grid = tuple(sorted({_integer(n, f"eval_grid[{i}]", 1, horizon) for i, n in enumerate(grid)}))
-        epsilons = tuple(
-            float(e) if isinstance(e, numbers.Real) and not isinstance(e, bool) else e
-            for e in _entries(self.epsilons, "epsilons", "numbers")
-        )
+        epsilons = tuple(map(_real, _entries(self.epsilons, "epsilons", "numbers")))
         indicator_like = self.payoff is None or set(self.payoff.values) <= {0.0, 1.0}
         for i, eps in enumerate(epsilons):
             if not isinstance(eps, float) or not 0 < eps < math.inf:

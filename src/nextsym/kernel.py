@@ -16,7 +16,9 @@ total is lambda there.  Blocks are numbered one length at a time: the
 length-k block ending at e is keyed by (number of the length-(k-1) block
 ending at e-1) * |A| + X_e, and a dense lookup per length turns keys into
 numbers.  Within a chunk the ends of each block are found by one stable
-sort of the keys.
+sort of the keys.  A chunk skips what none of its rows uses: lambda above
+its largest cap, the numbers of the longest length, and the row scatter
+when every row selects one length.
 
 K and J come as exact arrays (:func:`schedule_values`).  Results equal the
 scanning evaluator and the streaming index bit for bit;
@@ -118,22 +120,26 @@ class _Blocks:
             self.succ = np.concatenate([self.succ, np.zeros((count, self.size), np.int64)])
         return ids
 
-    def scan(self, keys: np.ndarray) -> tuple:
-        """Block numbers and lambda at each end of the chunk, in order, and
-        the grouping of the ends by block for :meth:`finish`."""
+    def scan(self, keys: np.ndarray, counted: bool, numbered: bool) -> tuple:
+        """The grouping of the chunk's ends by block, for :meth:`finish`, and
+        at each end, in order, lambda if ``counted`` and the block number if
+        ``numbered`` (which moves ``tail``); None where not asked for."""
         order = np.argsort(_sortable(keys), kind="stable")
         sorted_keys = keys[order]
         new = np.empty(len(keys), dtype=bool)
         new[0] = True
         np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
         starts = np.flatnonzero(new)
-        group = np.cumsum(new) - 1
+        group = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(keys)))
         gids = self._number(sorted_keys[starts])
-        lam = np.empty(len(keys), np.int64)
-        lam[order] = (self.succ.take(gids, axis=0).sum(axis=1) - starts)[group] + np.arange(len(keys))
-        ids = np.empty(len(keys), np.int64)
-        ids[order] = gids[group]
-        self.tail = int(ids[-1])
+        ids = lam = None
+        if counted:
+            lam = np.empty(len(keys), np.int64)
+            lam[order] = (self.succ.take(gids, axis=0).sum(axis=1) - starts)[group] + np.arange(len(keys))
+        if numbered:
+            ids = np.empty(len(keys), np.int64)
+            ids[order] = gids[group]
+            self.tail = int(ids[-1])
         return ids, lam, (order, starts, group, gids)
 
     def finish(self, grouping: tuple, succ: np.ndarray, at: np.ndarray, hist: np.ndarray) -> None:
@@ -146,6 +152,8 @@ class _Blocks:
         if len(at):
             rank = np.empty_like(order)
             rank[order] = np.arange(len(order))
+            if len(at) == len(order):  # every end selects this length: whole columns, no scatter
+                at = slice(None)
             where = rank[at]  # sorted positions of the selected ends
             blocks = group[where]
             first = starts[blocks]
@@ -187,8 +195,9 @@ def replay(seq: np.ndarray, size: int, schedules: Schedules) -> Iterator[Replaye
     :class:`Replayed` per chunk of :func:`chunk_rows` positions.
 
     K is evaluated once per position before the replay, to find the longest
-    block length any position may match; J once per position as the chunk
-    comes.
+    block length any position, and any row of each chunk, may match; J once
+    per position as the chunk comes.  Every length is grouped in every chunk
+    for the carried counts; lambda and the selection skip longer lengths.
     """
     seq = np.asarray(seq)
     total = len(seq)
@@ -206,16 +215,18 @@ def replay(seq: np.ndarray, size: int, schedules: Schedules) -> Iterator[Replaye
         need = _thresholds(schedules, lo, hi)
         kappa = np.zeros(length, np.int64)
         matches = np.zeros(length, np.int64)
+        top = int(cap.max())  # no row of the chunk selects a longer length
         keys = x  # every length-0 block is number 0
         groupings = []
         for k, level in enumerate(levels, 1):
             before = level.tail
-            ids, lam, grouping = level.scan(keys)
+            ids, lam, grouping = level.scan(keys, k <= top, k < k_max)  # the last length's numbers key nothing
             groupings.append(grouping)
-            ok = (cap >= k) & (lam >= need)
-            np.copyto(kappa, k, where=ok)
-            np.copyto(matches, lam, where=ok)
-            if k < k_max:  # the last length's numbers key nothing
+            if k <= top:
+                ok = (cap >= k) & (lam >= need)
+                np.copyto(kappa, k, where=ok)
+                np.copyto(matches, lam, where=ok)
+            if k < k_max:
                 keys = np.concatenate(([before], ids[:-1])) * size + x
         hist = np.zeros((length, size), np.int64)
         for k, (level, grouping) in enumerate(zip(levels, groupings), 1):

@@ -6,6 +6,7 @@ sequences of a few million symbols stay cheap to hold, iterate and share.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from typing import Iterable, Iterator
 
@@ -27,6 +28,14 @@ def _integer(value, field: str, low: int | None = None, high: int | None = None)
         span = f">= {low}" if high is None else f"in {low}..{high}"
         raise ValueError(f"{field} must be {span}, got {value}")
     return value
+
+
+def _real(value):
+    """value as a float when it is a real number a float holds, else unchanged; a bool is no number."""
+    try:
+        return float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else value
+    except OverflowError:  # an int too large for a float
+        return value
 
 
 class Alphabet:
@@ -93,7 +102,11 @@ class SymbolSequence:
         if isinstance(values, (bytes, bytearray)):
             arr = np.frombuffer(values, np.uint8)
         else:  # by value, a numpy array as a list: never by a wider array's raw bytes, and no float is an index
-            arr = np.fromiter(map(operator.index, values), np.int64)
+            values = list(values)
+            bad = next((i for i, v in enumerate(values) if isinstance(v, bool)), None)
+            if bad is not None:
+                raise ValueError(f"symbol {values[bad]!r} at position {bad} is a bool, not an index")
+            arr = np.fromiter(map(operator.index, values), np.int64, count=len(values))
         if arr.size and (arr.min() < 0 or arr.max() >= alphabet.size):
             bad = int(np.flatnonzero((arr < 0) | (arr >= alphabet.size))[0])
             raise ValueError(f"symbol index {arr[bad]} at position {bad} outside alphabet")

@@ -163,6 +163,24 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
         assert "experiment.epsilons[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda doc: doc.update(process={"kind": "iid", "alphabet": "01", "probs": [10**400, 0]}),
+             "process.probs[0]"),
+            (lambda doc: doc["experiment"].update(epsilons=[10**400]), "experiment.epsilons[0]"),
+        ],
+    )
+    def test_int_too_large_for_a_float_names_its_field(self, tmp_path, capsys, edit, field):
+        # exited 1 with "runtime error: int too large to convert to float"
+        doc = json.loads(json.dumps(MARKOV_DOC))
+        edit(doc)
+        cfg = write_config(tmp_path, doc)  # json.dumps writes the 401 digits
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "x").exists()
+
     def test_too_fine_log_coefficient_rejected(self, tmp_path, capsys):
         doc = json.loads(json.dumps(MARKOV_DOC))
         doc["schedules"] = {"K": {"kind": "log", "coeff": 0.1234567}}

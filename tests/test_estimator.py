@@ -405,6 +405,12 @@ class TestSequences:
         with pytest.raises(ValueError, match=f"symbol index {bad} at position {at} outside alphabet"):
             SymbolSequence(binary, wrap(values))
 
+    @pytest.mark.parametrize("values, at", [([True, False], 0), ((0, 1, False), 2)])
+    def test_bool_symbol_named_with_its_position(self, binary, values, at):
+        # [True, False] read as [1, 0]
+        with pytest.raises(ValueError, match=f"symbol {values[at]} at position {at} is a bool"):
+            SymbolSequence(binary, values)
+
     @pytest.mark.parametrize("values", [[1.0, 0.0], np.array([1.0, 0.0]), np.zeros((2, 2), np.int64)])
     def test_non_integer_values_rejected(self, binary, values):
         with pytest.raises(TypeError):

@@ -82,6 +82,36 @@ def test_log_schedule_steps_inside_a_chunk():
     assert kappa[1] == 1 and kappa[0] == 0
 
 
+def _assert_probes(data: np.ndarray, size: int, schedules: Schedules, kappa, matches, hist) -> None:
+    seq = SymbolSequence(Alphabet.of_size(size), data.tobytes())
+    for n in range(len(data)):
+        k, lam, want = probe(seq, n, schedules) or (0, 0, [0] * size)
+        assert (kappa[n], matches[n], hist[n].tolist()) == (k, lam, want), n
+
+
+@pytest.mark.parametrize("steps", [(64,), (64, 128)])
+def test_cap_steps_at_a_chunk_boundary(steps):
+    # K steps from 1 to 2 (and then to 3) exactly where a chunk starts: the chunks before
+    # it cannot select the longer blocks but must count them for the chunks after
+    schedules = Schedules(K=lambda n: 1 + sum(n >= s for s in steps), J=ConstantSchedule(2))
+    data = np.random.default_rng(3).integers(0, 2, 200).astype(np.uint8)
+    kappa, matches, hist = _replayed(data, 2, schedules, 16)
+    assert kappa[:64].max() == 1 and kappa[64] == 2
+    assert kappa[128] == len(steps) + 1
+    _assert_probes(data, 2, schedules, kappa, matches, hist)
+
+
+def test_whole_chunk_selecting_one_length_beside_partial_chunks():
+    # J(n) = 1 + n // 12 stays close to lambda_2, about n / 9, so in most chunks some rows
+    # fall back to length 1; in chunk 10 every row selects length 2 (whole-column writes)
+    schedules = Schedules(K=ConstantSchedule(2), J=lambda n: 1 + n // 12)
+    data = np.random.default_rng(5).integers(0, 3, 240).astype(np.uint8)
+    kappa, matches, hist = _replayed(data, 3, schedules, 16)
+    chunks = [set(c) for c in kappa.reshape(-1, 16).tolist()]
+    assert chunks[9] == chunks[11] == {1, 2} and chunks[10] == {2}
+    _assert_probes(data, 3, schedules, kappa, matches, hist)
+
+
 def test_deep_cap_sorts_wide_keys(monkeypatch):
     # K = 20 over 2^17 + 5 random binary symbols: keys reach 2^16 and up, so the int64 sort
     # and the lookup's growth are exercised over the default 9 chunks

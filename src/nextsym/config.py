@@ -3,8 +3,13 @@
 One JSON document with sections ``process``, ``schedules`` and (for the
 simulate command) ``experiment``; the lemmas command reads sections
 ``resampling``, ``divergence`` and ``return_time`` instead.  Validation
-errors carry the offending field path.  Numbers must be JSON numbers:
-decimals as strings are rejected to avoid locale ambiguity.
+errors carry the offending field path.  The probability tables, schedule
+coefficients, payoffs and experiment fields go to the library constructors
+as written: they check every number with the one integer and one real
+reader in ``sequences``, and config only puts the section path
+(``process.``, ``schedules.K.``, ``experiment.payoff.``, ``experiment.``)
+before their message.  Numbers must be JSON numbers: decimals as strings
+are rejected to avoid locale ambiguity, and NaN and infinity on load.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from .estimator import SCHEDULE_CAP, ConstantSchedule, LinearJ, LogK, PayoffFunction, Schedules, schedule_J
 from .processes import MAX_BLOCKS, HiddenMarkovProcess, IIDProcess, MarkovProcess, ProcessSpec, block_space_fits
 from .seeding import MAX_SEED
-from .sequences import MAX_ALPHABET, Alphabet, _integer as _read_integer, _real
+from .sequences import MAX_ALPHABET, Alphabet, _integer as _read_integer
 
 __all__ = [
     "ConfigError",
@@ -62,32 +67,18 @@ def _reject_non_finite(value, path: str) -> None:
         raise ConfigError(f"{path or 'config'} must be a finite number, got {value!r}")
 
 
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path} must be a number, got {value!r}")
-    number = _real(value)
-    if not isinstance(number, float) or not math.isfinite(number):
-        raise ConfigError(f"{path} must be a finite number, got {value!r}")
-    return number
+def _prefixed(prefix: str, build, *args):
+    """build(*args), whose ValueError becomes a ConfigError with the field
+    path ``prefix`` put before the library's message."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _integer(value, path: str, low: int, high: int | None = None) -> int:
     """The library's integer reader, failing with a ConfigError."""
-    try:
-        return _read_integer(value, path, low, high)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _matrix(value, path: str) -> list:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path} must be a non-empty list of rows")
-    rows = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or not row:
-            raise ConfigError(f"{path}[{i}] must be a non-empty list of numbers")
-        rows.append([_number(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
-    return rows
+    return _prefixed("", _read_integer, value, path, low, high)
 
 
 def build_alphabet(value, path: str = "process.alphabet") -> Alphabet:
@@ -99,10 +90,7 @@ def build_alphabet(value, path: str = "process.alphabet") -> Alphabet:
         return Alphabet.of_size(_integer(value, f"{path} size", 2, MAX_ALPHABET))
     else:
         raise ConfigError(f"{path} must be a string, list of tokens, or integer size")
-    try:
-        alphabet = Alphabet(symbols)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    alphabet = _prefixed(f"{path}: ", Alphabet, symbols)
     printed = {}  # the CSV header and the outputs name each symbol by its str()
     for symbol in alphabet.symbols:
         text = str(symbol)
@@ -124,30 +112,11 @@ def build_process(doc: dict) -> ProcessSpec:
     if kind not in ("iid", "markov", "hmm"):
         raise ConfigError(f"process.kind must be one of iid/markov/hmm, got {kind!r}")
     alphabet = build_alphabet(section.get("alphabet", "01"))
-    try:
-        if kind == "iid":
-            probs = section.get("probs")
-            if not isinstance(probs, list):
-                raise ConfigError("process.probs must be a list of numbers")
-            vals = [_number(v, f"process.probs[{i}]") for i, v in enumerate(probs)]
-            return IIDProcess(alphabet, tuple(vals))
-        if kind == "markov":
-            order = _integer(section.get("order", 1), "process.order", 1)
-            if not block_space_fits(alphabet.size, order):
-                raise ConfigError(
-                    f"process.order must be small enough that {alphabet.size}^order <= {MAX_BLOCKS}, got {order}"
-                )
-            rows = _matrix(section.get("transition"), "process.transition")
-            return MarkovProcess(alphabet, order, tuple(tuple(r) for r in rows))
-        transition = _matrix(section.get("transition"), "process.transition")
-        emission = _matrix(section.get("emission"), "process.emission")
-        return HiddenMarkovProcess(
-            alphabet, tuple(tuple(r) for r in transition), tuple(tuple(r) for r in emission)
-        )
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"process: {exc}") from exc
+    if kind == "iid":
+        return _prefixed("process.", IIDProcess, alphabet, section.get("probs"))
+    if kind == "markov":
+        return _prefixed("process.", MarkovProcess, alphabet, section.get("order", 1), section.get("transition"))
+    return _prefixed("process.", HiddenMarkovProcess, alphabet, section.get("transition"), section.get("emission"))
 
 
 def build_schedules(doc: dict, alphabet: Alphabet, path: str = "schedules") -> Schedules:
@@ -164,14 +133,7 @@ def build_schedules(doc: dict, alphabet: Alphabet, path: str = "schedules") -> S
             raise ConfigError(f"{path}.K must be an object")
         kind = k_desc.get("kind", "log")
         if kind == "log":
-            coeff = _number(k_desc.get("coeff", 0.1), f"{path}.K.coeff")
-            if coeff <= 0:
-                raise ConfigError(f"{path}.K.coeff must be positive")
-            base = _integer(k_desc.get("base", alphabet.size), f"{path}.K.base", 2)
-            try:
-                k_fn = LogK(base, coeff)
-            except ValueError as exc:
-                raise ConfigError(f"{path}.K.coeff: {exc}") from exc
+            k_fn = _prefixed(f"{path}.K.", LogK, k_desc.get("base", alphabet.size), k_desc.get("coeff", 0.1))
         elif kind == "constant":
             k_fn = ConstantSchedule(_integer(k_desc.get("value"), f"{path}.K.value", 1, SCHEDULE_CAP))
         else:
@@ -187,10 +149,9 @@ def build_schedules(doc: dict, alphabet: Alphabet, path: str = "schedules") -> S
         if kind == "sqrt":
             j_fn = schedule_J
         elif kind == "linear":
-            coeff = _number(j_desc.get("coeff", 1.0), f"{path}.J.coeff")
-            if coeff <= 0:
+            j_fn = _prefixed(f"{path}.J.", LinearJ, j_desc.get("coeff", 1.0))
+            if j_fn.coeff <= 0:  # LinearJ accepts it on purpose (J = 1 at every n); a config J must grow
                 raise ConfigError(f"{path}.J.coeff must be positive")
-            j_fn = LinearJ(coeff)
         elif kind == "constant":
             j_fn = ConstantSchedule(_integer(j_desc.get("value"), f"{path}.J.value", 1, SCHEDULE_CAP))
         else:
@@ -208,22 +169,9 @@ def build_payoff(desc, alphabet: Alphabet, path: str = "experiment.payoff") -> P
     if kind == "distribution":
         return None
     if kind == "indicator":
-        symbol = desc.get("symbol")
-        try:
-            return PayoffFunction.indicator(alphabet, symbol)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.symbol: {exc}") from exc
+        return _prefixed(f"{path}.symbol: ", PayoffFunction.indicator, alphabet, desc.get("symbol"))
     if kind == "table":
-        values = desc.get("values")
-        if not isinstance(values, dict):
-            raise ConfigError(f"{path}.values must be an object mapping symbols to numbers")
-        mapping = {}
-        for token, v in values.items():
-            mapping[token] = _number(v, f"{path}.values[{token!r}]")
-        try:
-            return PayoffFunction.from_map(alphabet, mapping)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.values: {exc}") from exc
+        return _prefixed(f"{path}.", PayoffFunction.from_map, alphabet, desc.get("values"))
     raise ConfigError(f"{path}.kind must be distribution/indicator/table, got {kind!r}")
 
 
@@ -245,10 +193,7 @@ def build_experiment(doc: dict, spec: ProcessSpec, schedules: Schedules) -> "Exp
         base_seed=section.get("base_seed", 0),
         workers=section.get("workers", 1),
     )
-    try:
-        return cfg.resolved()
-    except ValueError as exc:
-        raise ConfigError(f"experiment.{exc}") from exc  # every message starts with its field
+    return _prefixed("experiment.", cfg.resolved)  # every message starts with its field
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .sequences import Alphabet, SymbolSequence, _integer
+from .sequences import Alphabet, SymbolSequence, _entries, _integer, _number
 
 __all__ = [
     "Schedules",
@@ -130,9 +130,9 @@ class LogK:
     __slots__ = ("base", "coeff", "_p", "_q", "_lo", "_hi", "_value")
 
     def __init__(self, base: int, coeff: float):
-        base = _integer(base, "base", 2)
-        if not 0 < coeff < math.inf:
-            raise ValueError("coeff must be a positive finite number")
+        base, coeff = _integer(base, "base", 2), _number(coeff, "coeff")
+        if coeff <= 0:
+            raise ValueError(f"coeff must be positive, got {coeff!r}")
         p, q = _decimal_ratio(coeff)
         if p > _MAX_LOG_NUMERATOR:
             raise ValueError(
@@ -231,9 +231,7 @@ class LinearJ:
     __slots__ = ("coeff",)
 
     def __init__(self, coeff: float):
-        if not math.isfinite(coeff):
-            raise ValueError("coeff must be a finite number")
-        self.coeff = coeff
+        self.coeff = _number(coeff, "coeff")
 
     def __call__(self, n: int) -> int:
         if n < 1:
@@ -257,18 +255,21 @@ class PayoffFunction:
     values: tuple
 
     def __post_init__(self):
-        if len(self.values) != self.alphabet.size:
-            raise ValueError("payoff must assign a value to every symbol")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not all(map(math.isfinite, self.values)):
-            raise ValueError(f"payoff values must be finite, got {self.values!r}")
+        values = _entries(self.values, "values", "numbers")
+        if len(values) != self.alphabet.size:
+            raise ValueError(f"values must have {self.alphabet.size} entries, got {len(values)}")
+        object.__setattr__(self, "values", tuple(_number(v, f"values[{i}]") for i, v in enumerate(values)))
 
     @classmethod
-    def from_map(cls, alphabet: Alphabet, mapping: dict) -> "PayoffFunction":
-        missing = [s for s in alphabet.symbols if s not in mapping]
+    def from_map(cls, alphabet: Alphabet, mapping: Mapping) -> "PayoffFunction":
+        """The payoff ``mapping[s]`` of each symbol s; an error names the token."""
+        if not isinstance(mapping, Mapping):
+            raise ValueError(f"values must map symbols to numbers, got {mapping!r}")
+        values = {token: _number(v, f"values[{token!r}]") for token, v in mapping.items()}
+        missing = [s for s in alphabet.symbols if s not in values]
         if missing:
-            raise ValueError(f"payoff missing symbols {missing!r}")
-        return cls(alphabet, tuple(mapping[s] for s in alphabet.symbols))
+            raise ValueError(f"values missing symbols {missing!r}")
+        return cls(alphabet, tuple(values[s] for s in alphabet.symbols))
 
     @classmethod
     def indicator(cls, alphabet: Alphabet, symbol) -> "PayoffFunction":

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
@@ -36,7 +37,7 @@ from .estimator import SCHEDULE_CAP, PayoffFunction, Schedules, _schedule_value,
 from .estimator import recurrence_times
 from .processes import Oracle, ProcessSpec, generate, stationary_block_law
 from .seeding import MAX_SEED, derive_seed
-from .sequences import _integer, _real
+from .sequences import _entries, _integer, _number
 
 __all__ = [
     "ExperimentConfig",
@@ -53,19 +54,6 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
-
-def _entries(value, field: str, kind: str) -> tuple:
-    """value as a non-empty tuple; a string or a non-iterable raises naming the field."""
-    try:
-        if isinstance(value, str):
-            raise TypeError
-        entries = tuple(value)
-    except TypeError:
-        raise ValueError(f"{field} must be a sequence of {kind}, got {value!r}") from None
-    if not entries:
-        raise ValueError(f"{field} must not be empty")
-    return entries
 
 
 def default_eval_grid(horizon: int) -> tuple:
@@ -103,17 +91,19 @@ class ExperimentConfig:
         grid = self.eval_grid
         grid = default_eval_grid(horizon) if grid is None else _entries(grid, "eval_grid", "integers")
         grid = tuple(sorted({_integer(n, f"eval_grid[{i}]", 1, horizon) for i, n in enumerate(grid)}))
-        epsilons = tuple(map(_real, _entries(self.epsilons, "epsilons", "numbers")))
+        epsilons = _entries(self.epsilons, "epsilons", "numbers")
+        epsilons = tuple(_number(eps, f"epsilons[{i}]") for i, eps in enumerate(epsilons))
         indicator_like = self.payoff is None or set(self.payoff.values) <= {0.0, 1.0}
         for i, eps in enumerate(epsilons):
-            if not isinstance(eps, float) or not 0 < eps < math.inf:
+            if eps <= 0:
                 raise ValueError(f"epsilons[{i}] must be a positive finite number, got {eps!r}")
             if indicator_like and eps > 1:
                 raise ValueError(f"epsilons[{i}] must be in (0, 1] for indicator payoffs, got {eps!r}")
         if self.payoff is not None and self.payoff.alphabet != self.spec.alphabet:
             raise ValueError("payoff alphabet does not match the process alphabet")
         max_abs = max(map(abs, self.payoff.values)) if self.payoff is not None else 0.0
-        if not math.isfinite(2 * max_abs * (horizon + 1)):  # bounds every payoff and Cesaro sum: no inf or nan
+        # bounds every payoff and Cesaro sum: no inf or nan; past the float range, horizon + 1 is no float
+        if max_abs and (horizon >= sys.float_info.max or not math.isfinite(2 * max_abs * (horizon + 1))):
             raise ValueError(
                 f"payoff.values must be small enough that 2 * max|v| * (horizon + 1) is finite, "
                 f"got max|v| = {max_abs!r} at horizon {horizon}"

@@ -146,10 +146,15 @@ class _Blocks:
         """Write the successor counts of the earlier ends of the block into
         the rows ``at`` (ascending chunk positions) of ``hist``, one column
         at a time, since numpy writes narrow rows slowly; then the chunk's
-        ends, followed by ``succ``, join the counts, column by column too."""
+        ends, followed by ``succ``, join the counts, column by column too.
+        One running count per symbol serves both: a block's ends are one run
+        of the sort, and the last symbol takes what the others leave."""
         order, starts, group, gids = grouping
         succ_sorted = succ[order]
-        if len(at):
+        ends = np.append(starts, len(order))
+        left = np.diff(ends)  # the chunk's ends of each block not yet counted by symbol
+        selected = len(at) > 0
+        if selected:
             rank = np.empty_like(order)
             rank[order] = np.arange(len(order))
             if len(at) == len(order):  # every end selects this length: whole columns, no scatter
@@ -159,16 +164,19 @@ class _Blocks:
             first = starts[blocks]
             counts = self.succ.take(gids[blocks], axis=0)  # counts before the chunk
             rest = where - first  # earlier ends of the same block inside the chunk
-            for s in range(self.size - 1):
-                hit = succ_sorted == s
-                before = np.cumsum(hit) - hit  # hits strictly before each sorted position
+        before = np.zeros(len(order) + 1, np.int64)  # hits strictly before each sorted position, then the total
+        for s in range(self.size - 1):
+            np.cumsum(succ_sorted == s, out=before[1:])
+            if selected:
                 inside = before[where] - before[first]
                 hist[at, s] = counts[:, s] + inside
                 rest -= inside
+            per = np.diff(before[ends])
+            self.succ[gids, s] += per
+            left -= per
+        if selected:
             hist[at, -1] = counts[:, -1] + rest
-        per = np.bincount(group * self.size + succ_sorted, minlength=len(starts) * self.size).reshape(-1, self.size)
-        for s in range(self.size):
-            self.succ[gids, s] += per[:, s]
+        self.succ[gids, -1] += left
 
 
 def _caps(schedules: Schedules, lo: int, hi: int) -> np.ndarray:

@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Union
 
 import numpy as np
 
-from .sequences import Alphabet, SymbolSequence, _integer
+from .sequences import Alphabet, SymbolSequence, _entries, _integer, _number
 
 __all__ = [
     "IIDProcess",
@@ -82,26 +82,23 @@ def block_space_fits(size: int, length: int) -> bool:
 
 
 def _check_law(law, width: int, what: str) -> tuple:
-    """Validate a probability vector of ``width`` entries given as a sequence."""
-    law = tuple(law)
+    """A probability vector of ``width`` entries, as a tuple of floats."""
+    law = _entries(law, what, "numbers")
     if len(law) != width:
         raise ValueError(f"{what} must have {width} entries, got {len(law)}")
+    law = tuple(_number(v, f"{what}[{j}]") for j, v in enumerate(law))
     for j, v in enumerate(law):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"{what}[{j}] must be a number, got {v!r}")
-        if not math.isfinite(v):
-            raise ValueError(f"{what}[{j}] must be finite, got {v!r}")
         if v < 0:
-            raise ValueError(f"{what}[{j}] is negative")
+            raise ValueError(f"{what}[{j}] must be >= 0, got {v!r}")
     s = math.fsum(law)
     if abs(s - 1.0) > _ROW_TOL:
-        raise ValueError(f"{what} sums to {s!r}, expected 1 within {_ROW_TOL}")
-    return tuple(float(v) for v in law)
+        raise ValueError(f"{what} must be a distribution summing to 1 within {_ROW_TOL}, got sum {s!r}")
+    return law
 
 
 def _check_rows(rows, n_rows: int, width: int, what: str) -> tuple:
-    """Validate an n_rows x width stochastic matrix given as nested sequences."""
-    rows = tuple(rows)
+    """An n_rows x width stochastic matrix, as a tuple of rows."""
+    rows = _entries(rows, what, "rows")
     if len(rows) != n_rows:
         raise ValueError(f"{what} must have {n_rows} rows, got {len(rows)}")
     return tuple(_check_law(row, width, f"{what}[{i}]") for i, row in enumerate(rows))
@@ -205,7 +202,7 @@ class MarkovProcess:
         size = self.alphabet.size
         object.__setattr__(self, "order", _integer(self.order, "order", 1))
         if not block_space_fits(size, self.order):
-            raise ValueError(f"alphabet^order = {size}^{self.order} exceeds supported {MAX_BLOCKS} contexts")
+            raise ValueError(f"order must be small enough that {size}^order <= {MAX_BLOCKS}, got {self.order}")
         n_ctx = size**self.order
         rows = _check_rows(self.rows, n_ctx, size, "transition")
         object.__setattr__(self, "rows", rows)
@@ -214,7 +211,7 @@ class MarkovProcess:
             [(c % mod) * size + b for b in range(size) if rows[c][b] > 0]
             for c in range(n_ctx)
         ]
-        _check_irreducible_aperiodic(succ, "block chain")
+        _check_irreducible_aperiodic(succ, "transition (block chain)")
 
     @cached_property
     def _context_law(self) -> np.ndarray:
@@ -311,15 +308,13 @@ class HiddenMarkovProcess:
     emission: tuple
 
     def __post_init__(self):
-        n_states = len(tuple(self.transition))
-        if n_states < 1:
-            raise ValueError("transition must have at least one state")
+        n_states = len(_entries(self.transition, "transition", "rows"))
         trans = _check_rows(self.transition, n_states, n_states, "transition")
         emit = _check_rows(self.emission, n_states, self.alphabet.size, "emission")
         object.__setattr__(self, "transition", trans)
         object.__setattr__(self, "emission", emit)
         if n_states > 1:
-            _check_irreducible_aperiodic(_successors(np.array(trans)), "hidden chain")
+            _check_irreducible_aperiodic(_successors(np.array(trans)), "transition (hidden chain)")
 
     @cached_property
     def _hidden_law(self) -> np.ndarray:

@@ -6,6 +6,7 @@ sequences of a few million symbols stay cheap to hold, iterate and share.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 from typing import Iterable, Iterator
@@ -30,12 +31,29 @@ def _integer(value, field: str, low: int | None = None, high: int | None = None)
     return value
 
 
-def _real(value):
-    """value as a float when it is a real number a float holds, else unchanged; a bool is no number."""
+def _number(value, field: str) -> float:
+    """value as a finite float; a bool, a string, NaN, infinity or an int
+    too large for a float raises naming the field."""
     try:
-        return float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else value
+        number = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
     except OverflowError:  # an int too large for a float
-        return value
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{field} must be a finite number, got {value!r}")
+    return number
+
+
+def _entries(value, field: str, kind: str) -> tuple:
+    """value as a non-empty tuple; a string or a non-iterable raises naming the field."""
+    try:
+        if isinstance(value, str):
+            raise TypeError
+        entries = tuple(value)
+    except TypeError:
+        raise ValueError(f"{field} must be a sequence of {kind}, got {value!r}") from None
+    if not entries:
+        raise ValueError(f"{field} must not be empty")
+    return entries
 
 
 class Alphabet:

@@ -145,8 +145,8 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "alphabet, probs, message",
         [
-            ("01", [1.5, -0.5], "probs[1] is negative"),
-            ("01", [0.5, 0.6], "probs sums to 1.1"),
+            ("01", [1.5, -0.5], "probs[1] must be >= 0, got -0.5"),
+            ("01", [0.5, 0.6], "probs must be a distribution summing to 1 within 1e-12, got sum 1.1"),
             ("abc", [0.5, 0.5], "probs must have 3 entries"),
         ],
     )
@@ -155,7 +155,7 @@ class TestSimulate:
         doc["process"] = {"kind": "iid", "alphabet": alphabet, "probs": probs}
         cfg = write_config(tmp_path, doc)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-        assert capsys.readouterr().err.startswith(f"error: process: {message}")
+        assert capsys.readouterr().err.startswith(f"error: process.{message}")
 
     def test_overflowing_number_rejected_with_field_path(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -533,6 +533,10 @@ class TestLemmas:
         ("schedules.K.value", 2**70),  # past int64
         ("schedules.J.value", 2**70),
         ("--workers", 0),  # appended last: earlier ids carry list positions
+        ("process.transition[0][1]", -0.3),
+        ("process.transition[1]", [0.5, 0.6]),  # sums to 1.1
+        ("schedules.K.coeff", 0),
+        ("schedules.J.coeff", -1),  # with kind linear
     ],
 )
 def test_out_of_range_input_exits_two_naming_its_field(tmp_path, capsys, field, value):
@@ -552,6 +556,8 @@ def test_out_of_range_input_exits_two_naming_its_field(tmp_path, capsys, field, 
             doc["process"] = {"kind": "iid", "alphabet": 41, "probs": [1 / 41] * 41}
         if field in ("schedules.K.value", "schedules.J.value"):
             doc["schedules"] = {field.split(".")[1]: {"kind": "constant"}}
+        if field == "schedules.J.coeff":
+            doc["schedules"] = {"J": {"kind": "linear"}}
         *parents, key = re.sub(r"\[(\d+)\]", r".\1", field).split(".")
         target = doc
         for name in parents:

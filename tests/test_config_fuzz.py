@@ -2,12 +2,16 @@
 
 One field of a valid ``simulate`` or ``lemmas`` document is replaced at a
 time by a value of the wrong type, zero, a negative number, an out-of-range
-number, an empty list or a decimal written as a string.  The parsers must
-either accept the document or raise ConfigError, which the CLI turns into
-exit 2; any other exception would be exit 1 with no field path.
+number, a value no float holds (NaN, infinity, an int too large for one),
+an empty list or a decimal written as a string.  The parsers must either
+accept the document or raise ConfigError, which the CLI turns into exit 2;
+any other exception would be exit 1 with no field path.  The builders are
+called directly, past ``load_document``'s finiteness check, so each reader
+must refuse NaN and infinity by itself.
 """
 
 import copy
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +76,7 @@ MUTATIONS = {
     "zero": [0, 0.0],
     "negative": [-1, -0.5, -(2**64)],
     "out of range": [10**9, 2**64, 1.5, 1e300],
+    "not a float": [math.inf, math.nan, 10**400],
     "empty list": [[]],
     "string decimal": ["0.5", "2"],
 }

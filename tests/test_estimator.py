@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -369,7 +371,8 @@ class TestPayoffFunction:
 
     @pytest.mark.parametrize("values", [(float("nan"), 1.0), (1.0, float("inf")), (-float("inf"), 0.0)])
     def test_non_finite_values_rejected(self, binary, values):
-        with pytest.raises(ValueError, match="payoff values must be finite"):
+        at = next(i for i, v in enumerate(values) if not math.isfinite(v))
+        with pytest.raises(ValueError, match=re.escape(f"values[{at}] must be a finite number, got {values[at]!r}")):
             PayoffFunction(binary, values)
 
 

@@ -8,6 +8,7 @@ import pytest
 from nextsym import (
     Alphabet,
     ExperimentConfig,
+    HiddenMarkovProcess,
     IIDProcess,
     MarkovProcess,
     Oracle,
@@ -28,7 +29,7 @@ from nextsym import (
 )
 from nextsym import harness
 from nextsym.config import build_schedules
-from nextsym.estimator import ConstantSchedule, LogK, SqrtJ, probe
+from nextsym.estimator import ConstantSchedule, LinearJ, LogK, SqrtJ, probe
 from nextsym.harness import _wilson_halfwidth, default_eval_grid
 from nextsym.verify import verify_equivalence
 
@@ -125,7 +126,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "epsilons, message",
-        [(("a",), r"epsilons\[0\] must be a positive finite number, got 'a'"), (0.1, "epsilons must be a sequence")],
+        [(("a",), r"epsilons\[0\] must be a finite number, got 'a'"), (0.1, "epsilons must be a sequence")],
     )
     def test_epsilons_must_be_numbers(self, epsilons, message):
         # a bare TypeError escaped: "'<' not supported ..." and "'float' object is not iterable"
@@ -481,3 +482,54 @@ def test_integer_arguments_refuse_floats_and_bools(field, call, value):
     # a float was truncated, escaped as a bare TypeError or failed only at first use; True ran as 1
     with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
         call(value)
+
+
+def _epsilons(values):
+    return ExperimentConfig(spec=COIN, horizon=10, replicates=1, epsilons=values).resolved()
+
+
+def _markov(rows):
+    return MarkovProcess(BINARY, 1, rows)
+
+
+def _hmm(transition, emission):
+    return HiddenMarkovProcess(BINARY, transition, emission)
+
+
+NUMBER_ARGUMENTS = [  # the start of each message: an entry, then the table as a whole
+    pytest.param("probs[0] must be a finite number", lambda v: IIDProcess(BINARY, (v, 0.5)), id="IID-entry"),
+    pytest.param("transition[1][0] must be a finite number", lambda v: _markov((FLIP.rows[0], (v, 0.5))),
+                 id="Markov-entry"),
+    pytest.param("transition[0][1] must be a finite number", lambda v: _hmm(((0.5, v), (0.5, 0.5)), FLIP.rows),
+                 id="HMM-transition-entry"),
+    pytest.param("emission[0][0] must be a finite number", lambda v: _hmm(((1.0,),), ((v, 0.5),)),
+                 id="HMM-emission-entry"),
+    pytest.param("values[0] must be a finite number", lambda v: PayoffFunction(BINARY, (v, 1.0)), id="PayoffFunction"),
+    pytest.param("values['1'] must be a finite number", lambda v: PayoffFunction.from_map(BINARY, {"0": 0, "1": v}),
+                 id="PayoffFunction.from_map"),
+    pytest.param("coeff must be a finite number", lambda v: LogK(2, v), id="LogK"),
+    pytest.param("coeff must be a finite number", LinearJ, id="LinearJ"),
+    pytest.param("epsilons[0] must be a finite number", lambda v: _epsilons((v,)), id="epsilons-entry"),
+    pytest.param("probs must be a sequence of numbers", lambda v: IIDProcess(BINARY, v), id="IID"),
+    pytest.param("transition must be a sequence of rows", _markov, id="Markov"),
+    pytest.param("transition[0] must be a sequence of numbers", lambda v: _markov((v, FLIP.rows[1])), id="Markov-row"),
+    pytest.param("transition must be a sequence of rows", lambda v: _hmm(v, ((0.5, 0.5),)), id="HMM-transition"),
+    pytest.param("emission must be a sequence of rows", lambda v: _hmm(((1.0,),), v), id="HMM-emission"),
+    pytest.param("values must be a sequence of numbers", lambda v: PayoffFunction(BINARY, v), id="Payoff-table"),
+    pytest.param("epsilons must be a sequence of numbers", _epsilons, id="epsilons"),
+]
+
+
+@pytest.mark.parametrize("value", ["1", True, 10**400, math.nan], ids=["string", "bool", "huge-int", "nan"])
+@pytest.mark.parametrize("message, call", NUMBER_ARGUMENTS)
+def test_number_arguments_refuse_strings_bools_and_non_finite(message, call, value):
+    # a payoff took ("1", True) as (1.0, 1.0), LogK and LinearJ kept True, 10**400 raised OverflowError,
+    # "0.5" a bare TypeError, and a scalar table "'int' object is not iterable"
+    with pytest.raises(ValueError, match=re.escape(f"{message}, got {value!r}")):
+        call(value)
+
+
+def test_horizon_past_the_float_range_is_refused_with_a_payoff():
+    # 2 * max|v| * (horizon + 1) raised OverflowError: int too large to convert to float
+    with pytest.raises(ValueError, match="payoff.values must be small enough"):
+        ExperimentConfig(spec=COIN, horizon=10**400, replicates=1, payoff=IND1).resolved()

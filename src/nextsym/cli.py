@@ -209,21 +209,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    from .harness import check_kappa_divergence, check_lemma_resampling, check_return_time_bound
-
     doc = load_document(args.config)
     spec = build_process(doc)
-    schedules = build_schedules(doc, spec.alphabet)
-    plan = build_lemma_plan(doc, spec, schedules)
+    resampling, divergence, return_time = build_lemma_plan(doc, spec, build_schedules(doc, spec.alphabet))
     started = _utcnow()
     checks: dict = {}
     failed = False
 
-    for k, j, n, block_len in plan.resampling_cases:
-        report = check_lemma_resampling(
-            spec, k, j, n, plan.resampling_replicates, base_seed=plan.resampling_seed, block_len=block_len
-        )
-        name = f"resampling[k={k},j={j},n={n}]"
+    for check in resampling:
+        report = check()
+        name = f"resampling[k={report.k},j={report.j},n={report.n}]"
         checks[name] = report.status
         detail = (
             f"chi2={_fmt(report.statistic)} dof={report.dof} "
@@ -235,13 +230,7 @@ def cmd_lemmas(args) -> int:
             print(f"warning: {name} had fewer than 50 usable replicates", file=sys.stderr)
         failed |= report.status == "fail"
 
-    report = check_kappa_divergence(
-        spec,
-        plan.divergence_horizon,
-        plan.divergence_replicates,
-        schedules=plan.divergence_schedules,
-        base_seed=plan.divergence_seed,
-    )
+    report = divergence()
     checks["context_divergence"] = report.status
     if report.status == "hypothesis_violation":
         print(f"context_divergence: skipped, schedule hypotheses violated ({report.note})")
@@ -254,14 +243,7 @@ def cmd_lemmas(args) -> int:
         )
     failed |= report.status == "fail"
 
-    report = check_return_time_bound(
-        spec,
-        plan.return_window,
-        plan.return_threshold,
-        plan.return_replicates,
-        plan.return_block,
-        base_seed=plan.return_seed,
-    )
+    report = return_time()
     checks["return_time_bound"] = report.status
     print(
         f"return_time_bound: {report.status} "

@@ -8,18 +8,22 @@ coefficients, payoffs and experiment fields go to the library constructors
 as written: they check every number with the one integer and one real
 reader in ``sequences``, and config only puts the section path
 (``process.``, ``schedules.K.``, ``experiment.payoff.``, ``experiment.``)
-before their message.  Numbers must be JSON numbers: decimals as strings
-are rejected to avoid locale ambiguity, and NaN and infinity on load.
+before their message.  The lemma sections likewise go to the readers of
+the three checks in ``harness``, which return each check ready to run;
+config reads only the fields whose path is not the argument's name (the
+``base_seed`` of each section and ``resampling.replicates``), fills the
+defaults, encodes the return-time block's tokens and picks the divergence
+schedules.  Numbers must be JSON numbers: decimals as strings are rejected
+to avoid locale ambiguity, and NaN and infinity on load.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 from .estimator import SCHEDULE_CAP, ConstantSchedule, LinearJ, LogK, PayoffFunction, Schedules, schedule_J
-from .processes import MAX_BLOCKS, HiddenMarkovProcess, IIDProcess, MarkovProcess, ProcessSpec, block_space_fits
+from .processes import HiddenMarkovProcess, IIDProcess, MarkovProcess, ProcessSpec
 from .seeding import MAX_SEED
 from .sequences import MAX_ALPHABET, Alphabet, _integer as _read_integer
 
@@ -30,7 +34,6 @@ __all__ = [
     "build_schedules",
     "build_experiment",
     "build_lemma_plan",
-    "LemmaPlan",
 ]
 
 
@@ -196,92 +199,47 @@ def build_experiment(doc: dict, spec: ProcessSpec, schedules: Schedules) -> "Exp
     return _prefixed("experiment.", cfg.resolved)  # every message starts with its field
 
 
-@dataclass(frozen=True)
-class LemmaPlan:
-    """Parsed parameters for the three lemma checks, each within the range
-    its check accepts."""
+def build_lemma_plan(doc: dict, spec: ProcessSpec, schedules: Schedules) -> tuple:
+    """The lemma checks, ready to run, as (resampling checks, divergence
+    check, return-time check).  Each check's reader refuses every value it
+    would refuse later, and the message gets the field path, so no check
+    runs on a document that fails."""
+    from . import harness  # imported here so the verify command does not load the harness
 
-    resampling_cases: tuple  # (k, j, n, block_len) per case
-    resampling_replicates: int
-    resampling_seed: int
-    divergence_horizon: int
-    divergence_replicates: int
-    divergence_schedules: Schedules
-    divergence_seed: int
-    return_block: tuple
-    return_window: int
-    return_threshold: int
-    return_replicates: int
-    return_seed: int
-
-
-def build_lemma_plan(doc: dict, spec: ProcessSpec, schedules: Schedules) -> LemmaPlan:
-    """Parse the lemma sections and reject, with the field path, every value
-    the checks would refuse, so no check runs on a plan that fails later."""
     alphabet = spec.alphabet
+    res, div, ret = (_section(doc, name) for name in ("resampling", "divergence", "return_time"))
 
-    res = doc.get("resampling", {})
-    if not isinstance(res, dict):
-        raise ConfigError("resampling must be an object")
-    raw_cases = res.get("cases", [{"k": 1, "j": 1, "n": 100}])
-    if not isinstance(raw_cases, list) or not raw_cases:
+    cases = res.get("cases", [{"k": 1, "j": 1, "n": 100}])
+    if not isinstance(cases, list) or not cases:
         raise ConfigError("resampling.cases must be a non-empty list")
-    cases = []
-    for i, case in enumerate(raw_cases):
+    replicates = _integer(res.get("replicates", 5000), "resampling.replicates", 1)
+    seed = _integer(res.get("base_seed", 101), "resampling.base_seed", 0, MAX_SEED)
+    resampling = []
+    for i, case in enumerate(cases):
         path = f"resampling.cases[{i}]"
         if not isinstance(case, dict):
             raise ConfigError(f"{path} must be an object")
-        n = _integer(case.get("n", 100), f"{path}.n", 0)
-        k = _integer(case.get("k", 1), f"{path}.k", 1, n + 1)
-        j = _integer(case.get("j", 1), f"{path}.j", 1)
-        block_len = _integer(case.get("block_len", 1), f"{path}.block_len", 1, 3)
-        if not block_space_fits(alphabet.size, block_len):
-            raise ConfigError(
-                f"{path}.block_len must be small enough that {alphabet.size}^block_len <= {MAX_BLOCKS}, "
-                f"got {block_len}"
-            )
-        cases.append((k, j, n, block_len))
+        args = case.get("k", 1), case.get("j", 1), case.get("n", 100), replicates, seed, case.get("block_len", 1)
+        resampling.append(_prefixed(f"{path}.", harness._lemma_resampling, spec, *args))
 
-    div = doc.get("divergence", {})
-    if not isinstance(div, dict):
-        raise ConfigError("divergence must be an object")
     if "schedules" in div:
-        k_path = "divergence.schedules.K"
-        div_sched = build_schedules(div, alphabet, path="divergence.schedules")
+        k_path, div_schedules = "divergence.schedules.K", build_schedules(div, alphabet, path="divergence.schedules")
     else:
-        k_path = "schedules.K"
-        div_sched = schedules
-    div_horizon = _integer(div.get("horizon", 16384), "divergence.horizon", 1)
-    final_cap = div_sched.K(div_horizon)
-    if not block_space_fits(alphabet.size, final_cap):
-        raise ConfigError(
-            f"{k_path} must be small enough that {alphabet.size}^K(divergence.horizon) <= {MAX_BLOCKS}, "
-            f"got K({div_horizon}) = {final_cap}"
-        )
+        k_path, div_schedules = "schedules.K", schedules
+    seed = _integer(div.get("base_seed", 102), "divergence.base_seed", 0, MAX_SEED)
+    args = div.get("horizon", 16384), div.get("replicates", 100), div_schedules, seed, "divergence.", k_path
+    divergence = _prefixed("", harness._kappa_divergence, spec, *args)  # named by the reader: K may be top-level
 
-    ret = doc.get("return_time", {})
-    if not isinstance(ret, dict):
-        raise ConfigError("return_time must be an object")
-    block_value = ret.get("block", alphabet.symbols[-1])
-    tokens = list(block_value) if isinstance(block_value, (str, list)) else [block_value]
-    try:
-        block = tuple(alphabet.encode(t) for t in tokens)
-    except ValueError as exc:
-        raise ConfigError(f"return_time.block: {exc}") from exc
-    if not block:
-        raise ConfigError("return_time.block must not be empty")
+    block = ret.get("block", alphabet.symbols[-1])
+    tokens = list(block) if isinstance(block, (str, list)) else [block]
+    block = tuple(_prefixed("return_time.block: ", alphabet.encode, token) for token in tokens)
+    seed = _integer(ret.get("base_seed", 104), "return_time.base_seed", 0, MAX_SEED)
+    args = ret.get("window", 100), ret.get("threshold", 30), ret.get("replicates", 20000), block, seed
+    return tuple(resampling), divergence, _prefixed("return_time.", harness._return_time_bound, spec, *args)
 
-    return LemmaPlan(
-        resampling_cases=tuple(cases),
-        resampling_replicates=_integer(res.get("replicates", 5000), "resampling.replicates", 1),
-        resampling_seed=_integer(res.get("base_seed", 101), "resampling.base_seed", 0, MAX_SEED),
-        divergence_horizon=div_horizon,
-        divergence_replicates=_integer(div.get("replicates", 100), "divergence.replicates", 1),
-        divergence_schedules=div_sched,
-        divergence_seed=_integer(div.get("base_seed", 102), "divergence.base_seed", 0, MAX_SEED),
-        return_block=block,
-        return_window=_integer(ret.get("window", 100), "return_time.window", 1),
-        return_threshold=_integer(ret.get("threshold", 30), "return_time.threshold", 1),
-        return_replicates=_integer(ret.get("replicates", 20000), "return_time.replicates", 1),
-        return_seed=_integer(ret.get("base_seed", 104), "return_time.base_seed", 0, MAX_SEED),
-    )
+
+def _section(doc: dict, name: str) -> dict:
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be an object")
+    return section

@@ -114,7 +114,7 @@ def _decimal_ratio(x: float) -> tuple:
 
 
 _MAX_LOG_NUMERATOR = 10_000
-SCHEDULE_CAP = 2**62  # largest schedule value: int64 holds it, and no count reaches it
+SCHEDULE_CAP = 2**62  # largest schedule value: int64 holds it, and no count reaches it (draws stop at 2^40)
 
 
 class LogK:
@@ -211,7 +211,7 @@ class ConstantSchedule:
     __slots__ = ("value",)
 
     def __init__(self, value: int):
-        self.value = _integer(value, "ConstantSchedule value")
+        self.value = _integer(value, "value", 0, SCHEDULE_CAP)
 
     def __call__(self, n: int) -> int:
         if n < 1:
@@ -269,6 +269,9 @@ class PayoffFunction:
         missing = [s for s in alphabet.symbols if s not in values]
         if missing:
             raise ValueError(f"values missing symbols {missing!r}")
+        unknown = [token for token in values if token not in alphabet.symbols]
+        if unknown:
+            raise ValueError(f"values must be keyed by alphabet symbols, got unknown symbols {unknown!r}")
         return cls(alphabet, tuple(values[s] for s in alphabet.symbols))
 
     @classmethod

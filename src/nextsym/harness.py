@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
@@ -35,7 +34,8 @@ import numpy as np
 from . import kernel
 from .estimator import SCHEDULE_CAP, PayoffFunction, Schedules, _schedule_value, payoff_means, probe
 from .estimator import recurrence_times
-from .processes import Oracle, ProcessSpec, generate, stationary_block_law
+from .processes import MAX_BLOCKS, Oracle, ProcessSpec, block_space_fits, generate
+from .processes import _horizon, stationary_block_law
 from .seeding import MAX_SEED, derive_seed
 from .sequences import _entries, _integer, _number
 
@@ -84,9 +84,9 @@ class ExperimentConfig:
 
     def resolved(self) -> "ExperimentConfig":
         """Validate and fill defaults, returning a self-contained config."""
-        ints = {name: _integer(getattr(self, name), name, 1) for name in ("horizon", "replicates", "workers")}
+        horizon = _horizon(self.horizon, "horizon")
+        ints = {name: _integer(getattr(self, name), name, 1) for name in ("replicates", "workers")}
         ints["base_seed"] = _integer(self.base_seed, "base_seed", 0, MAX_SEED)
-        horizon = ints["horizon"]
         schedules = self.schedules or Schedules.default(self.spec.alphabet.size)
         grid = self.eval_grid
         grid = default_eval_grid(horizon) if grid is None else _entries(grid, "eval_grid", "integers")
@@ -102,13 +102,12 @@ class ExperimentConfig:
         if self.payoff is not None and self.payoff.alphabet != self.spec.alphabet:
             raise ValueError("payoff alphabet does not match the process alphabet")
         max_abs = max(map(abs, self.payoff.values)) if self.payoff is not None else 0.0
-        # bounds every payoff and Cesaro sum: no inf or nan; past the float range, horizon + 1 is no float
-        if max_abs and (horizon >= sys.float_info.max or not math.isfinite(2 * max_abs * (horizon + 1))):
+        if not math.isfinite(2 * max_abs * (horizon + 1)):  # bounds every payoff and Cesaro sum: no inf or nan
             raise ValueError(
                 f"payoff.values must be small enough that 2 * max|v| * (horizon + 1) is finite, "
                 f"got max|v| = {max_abs!r} at horizon {horizon}"
             )
-        return replace(self, **ints, schedules=schedules, eval_grid=grid, epsilons=epsilons)
+        return replace(self, **ints, horizon=horizon, schedules=schedules, eval_grid=grid, epsilons=epsilons)
 
 
 @dataclass(frozen=True)
@@ -305,9 +304,22 @@ def check_lemma_resampling(
     The resampled coordinates start one step after the located occurrence,
     so trajectories are generated ``block_len - 1`` steps past n.
     """
-    n = _integer(n, "n", 0)
+    return _lemma_resampling(spec, k, j, n, replicates, base_seed, block_len)()
+
+
+def _lemma_resampling(spec, k, j, n, replicates, base_seed, block_len):
+    """check_lemma_resampling with every argument read, ready to run: a
+    block space the exact law cannot enumerate is refused before any draw."""
+    block_len = _integer(block_len, "block_len", 1, 3)
+    n = _horizon(n, "n", 0, block_len - 1)  # the draw ends at n + block_len - 1
     k, j = _integer(k, "k", 1, n + 1), _integer(j, "j", 1)
-    replicates, block_len = _integer(replicates, "replicates", 1), _integer(block_len, "block_len", 1, 3)
+    replicates, size = _integer(replicates, "replicates", 1), spec.alphabet.size
+    if not block_space_fits(size, block_len):
+        raise ValueError(f"block_len must be small enough that {size}^block_len <= {MAX_BLOCKS}, got {block_len}")
+    return partial(_run_lemma_resampling, spec, k, j, n, replicates, base_seed, block_len)
+
+
+def _run_lemma_resampling(spec, k, j, n, replicates, base_seed, block_len) -> LemmaResamplingReport:
     size = spec.alphabet.size
     horizon = max(1, n + block_len - 1)
     counts = [0] * size**block_len
@@ -420,11 +432,30 @@ def check_kappa_divergence(
     """Record matched context lengths at the grid points, one scanning
     :func:`~nextsym.estimator.probe` each, and test that they reach the
     schedule cap at the horizon in more than 95% of replicates."""
+    return _kappa_divergence(spec, horizon, replicates, schedules, base_seed)()
+
+
+def _kappa_divergence(spec, horizon, replicates, schedules, base_seed, path="", k_path="schedules.K"):
+    """check_kappa_divergence with every argument read, ready to run: a cap
+    K(horizon) whose block space the exact law cannot enumerate is refused
+    before any draw.  ``path`` goes before the names of horizon and
+    replicates, and ``k_path`` names K, in the messages."""
+    horizon = _horizon(horizon, f"{path}horizon")
+    replicates, size = _integer(replicates, f"{path}replicates", 1), spec.alphabet.size
+    schedules = schedules or Schedules.default(size)
+    note = _schedule_hypothesis_note(schedules, horizon)  # reads K and J on its grid first, naming the n that fails
+    final_cap = _schedule_value(schedules.K, horizon)
+    if not block_space_fits(size, final_cap):
+        raise ValueError(
+            f"{k_path} must be small enough that {size}^K({path}horizon) <= {MAX_BLOCKS}, "
+            f"got K({horizon}) = {final_cap}"
+        )
+    return partial(_run_kappa_divergence, spec, horizon, replicates, schedules, base_seed, note, final_cap)
+
+
+def _run_kappa_divergence(spec, horizon, replicates, schedules, base_seed, note, final_cap) -> KappaDivergenceReport:
     import statistics  # imported here so CLI start-up does not load it
 
-    horizon, replicates = _integer(horizon, "horizon", 1), _integer(replicates, "replicates", 1)
-    schedules = schedules or Schedules.default(spec.alphabet.size)
-    note = _schedule_hypothesis_note(schedules, horizon)
     grid = default_eval_grid(horizon)
     if note:
         return KappaDivergenceReport(
@@ -439,7 +470,6 @@ def check_kappa_divergence(
             status="hypothesis_violation",
             note=note,
         )
-    final_cap = _schedule_value(schedules.K, horizon)
     law = stationary_block_law(spec, final_cap)
     all_positive = bool(law.min() > 0)
     per_grid: list[list[int]] = [[] for _ in grid]
@@ -503,13 +533,20 @@ def check_return_time_bound(
     """Estimate P(block at time 0 and fewer than ``threshold`` occurrences in
     the first ``window`` shifts); pass when the frequency is within
     threshold/window plus three binomial sigmas."""
+    return _return_time_bound(spec, window, threshold, replicates, block, base_seed)()
+
+
+def _return_time_bound(spec, window, threshold, replicates, block, base_seed):
+    """check_return_time_bound with every argument read, ready to run."""
     size = spec.alphabet.size
-    block = tuple(_integer(b, f"block[{i}]", 0, size - 1) for i, b in enumerate(block))
+    block = tuple(_integer(b, f"block[{i}]", 0, size - 1) for i, b in enumerate(_entries(block, "block", "symbols")))
+    window = _horizon(window, "window", 1, len(block) - 1)  # the draw ends at window + k - 1
+    threshold, replicates = _integer(threshold, "threshold", 1), _integer(replicates, "replicates", 1)
+    return partial(_run_return_time_bound, spec, window, threshold, replicates, block, base_seed)
+
+
+def _run_return_time_bound(spec, window, threshold, replicates, block, base_seed) -> ReturnTimeReport:
     k = len(block)
-    if k < 1:
-        raise ValueError("block must be nonempty")
-    window, threshold = _integer(window, "window", 1), _integer(threshold, "threshold", 1)
-    replicates = _integer(replicates, "replicates", 1)
     events = 0
     horizon = window + k - 1
     for r in range(replicates):

@@ -63,6 +63,7 @@ RNG_ALGORITHM = "numpy-pcg64"
 _ROW_TOL = 1e-12
 _STATIONARY_TOL = 1e-12
 MAX_BLOCKS = 65536  # most Markov contexts, and most blocks an exact block law enumerates
+_MAX_HORIZON = 2**40  # longest draw: a terabyte of symbols, which no run reaches; far below SCHEDULE_CAP
 _DENSE_MAX = 1024  # most Markov contexts solved directly (1,024: 28 ms, 8 MB matrix); more go to GMRES
 _GMRES_RESTART = 400  # Krylov basis vectors kept (65,536 contexts: up to 210 MB); 280 stalls on slowly mixing chains
 _GMRES_CYCLES = 5  # restart cycles before _checked judges the result (65,536 contexts: at most about 32 s)
@@ -74,6 +75,15 @@ _FILTER_BLOCK = 64  # positions per block of the HMM oracle's blocked filter
 _FILTER_SEGMENT = 1 << 14  # positions the blocked filter holds at once; a multiple of _FILTER_BLOCK
 _FILTER_MAX_STATES = 32  # measured: the blocked filter wins up to about 40 hidden states; 32 keeps a margin
 _FILTER_TINY = 1e-200  # below this carried mass a block is walked position by position
+
+
+def _horizon(value, field: str, low: int = 1, past: int = 0) -> int:
+    """value read as ``_integer(value, field, low)`` for a draw that ends
+    ``past`` steps after it, which must stay within ``_MAX_HORIZON``."""
+    value = _integer(value, field, low)
+    if value > _MAX_HORIZON - past:
+        raise ValueError(f"{field} must be <= {_MAX_HORIZON - past}, got {value}")
+    return value
 
 
 def block_space_fits(size: int, length: int) -> bool:
@@ -580,7 +590,7 @@ def generate(spec: ProcessSpec, seed: int, horizon: int) -> Trajectory:
     :func:`_walk`); both make the same picks, so the bytes depend on neither
     the chunk size nor the route.
     """
-    horizon = _integer(horizon, "horizon", 1)
+    horizon = _horizon(horizon, "horizon")
     rng = np.random.Generator(np.random.PCG64(seed))
     data = spec._draw(rng, horizon + 1)
     return Trajectory(seq=SymbolSequence(spec.alphabet, data))

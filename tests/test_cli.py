@@ -1,7 +1,9 @@
 import json
 import re
+import resource
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import nextsym
 from nextsym import cli, kernel, verify
 from nextsym.cli import _fmt, main
 from nextsym.estimator import LogK, Schedules, SqrtJ
+from nextsym.processes import _MAX_HORIZON
 from nextsym.sequences import Alphabet
 from nextsym.verify import verify_equivalence
 from nextsym.streaming import StreamingEstimator
@@ -537,37 +540,114 @@ class TestLemmas:
         ("process.transition[1]", [0.5, 0.6]),  # sums to 1.1
         ("schedules.K.coeff", 0),
         ("schedules.J.coeff", -1),  # with kind linear
+        ("experiment.payoff.values", {"0": 1, "1": 0, "2": 5}),  # with kind table: "2" names no symbol
     ],
 )
 def test_out_of_range_input_exits_two_naming_its_field(tmp_path, capsys, field, value):
-    if field == "--workers":
-        cfg = write_config(tmp_path, MARKOV_DOC)
-        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "out"), field, str(value)]
-    elif field.startswith("--"):
-        argv = ["verify", field, str(value)]
+    assert _rejected(tmp_path, capsys, field, value).startswith(f"error: {field} must be")
+
+
+LEMMA_MESSAGES = [  # (schedules section, field, value, the whole stderr): the lemma cases above and more
+    ("divergence", "resampling.cases[0].k", 0, "resampling.cases[0].k must be in 1..61, got 0"),
+    ("divergence", "resampling.cases[0].k", 62, "resampling.cases[0].k must be in 1..61, got 62"),
+    ("divergence", "resampling.cases[0].j", 0, "resampling.cases[0].j must be >= 1, got 0"),
+    ("divergence", "resampling.cases[0].n", -1, "resampling.cases[0].n must be >= 0, got -1"),
+    ("divergence", "resampling.cases[0].block_len", 0, "resampling.cases[0].block_len must be in 1..3, got 0"),
+    ("divergence", "resampling.cases[0].block_len", 4, "resampling.cases[0].block_len must be in 1..3, got 4"),
+    ("divergence", "resampling.cases[0].block_len", 3,
+     "resampling.cases[0].block_len must be small enough that 41^block_len <= 65536, got 3"),
+    ("divergence", "divergence.schedules.K", {"kind": "constant", "value": 17},
+     "divergence.schedules.K must be small enough that 2^K(divergence.horizon) <= 65536, got K(2048) = 17"),
+    ("divergence", "resampling.replicates", 0, "resampling.replicates must be >= 1, got 0"),
+    ("divergence", "divergence.horizon", 0, "divergence.horizon must be >= 1, got 0"),
+    ("divergence", "divergence.replicates", 0, "divergence.replicates must be >= 1, got 0"),
+    ("divergence", "return_time.window", 0, "return_time.window must be >= 1, got 0"),
+    ("divergence", "return_time.threshold", 0, "return_time.threshold must be >= 1, got 0"),
+    ("divergence", "return_time.replicates", 0, "return_time.replicates must be >= 1, got 0"),
+    ("divergence", "resampling.base_seed", -1, "resampling.base_seed must be in 0..18446744073709551615, got -1"),
+    ("divergence", "divergence.base_seed", 2**64 + 1,
+     "divergence.base_seed must be in 0..18446744073709551615, got 18446744073709551617"),
+    ("divergence", "return_time.base_seed", -1, "return_time.base_seed must be in 0..18446744073709551615, got -1"),
+    ("divergence", "return_time.block", "", "return_time.block must not be empty"),
+    ("divergence", "return_time.block", [], "return_time.block must not be empty"),
+    ("divergence", "return_time.block", "x", "return_time.block: unknown symbol 'x'"),
+    ("divergence", "return_time.block", [5], "return_time.block: unknown symbol 5"),
+    ("divergence", "resampling.cases[0].k", 1.5, "resampling.cases[0].k must be an integer, got 1.5"),
+    ("divergence", "divergence.horizon", True, "divergence.horizon must be an integer, got True"),
+    ("divergence", "return_time.window", "3", "return_time.window must be an integer, got '3'"),
+    ("top level", "divergence.horizon", 0, "divergence.horizon must be >= 1, got 0"),
+    ("top level", "divergence.replicates", 0, "divergence.replicates must be >= 1, got 0"),
+    ("top level", "schedules.K", {"kind": "constant", "value": 17},
+     "schedules.K must be small enough that 2^K(divergence.horizon) <= 65536, got K(2048) = 17"),
+]
+
+
+@pytest.mark.parametrize("schedules, field, value, message", LEMMA_MESSAGES)
+def test_lemma_input_error_prints_its_whole_message(tmp_path, capsys, schedules, field, value, message):
+    # the checks' readers name a field in config's words, whichever section holds the divergence schedules
+    doc = TestLemmas().lemmas_doc()
+    if schedules == "top level":
+        doc["schedules"] = doc["divergence"].pop("schedules")
+    assert _rejected(tmp_path, capsys, field, value, doc) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "field", ["experiment.horizon", "divergence.horizon", "resampling.cases[0].n", "return_time.window", "generate"]
+)
+def test_horizon_past_the_bound_is_refused(tmp_path, field):
+    # such a horizon drew until memory ran out, so the child runs with its address space capped, under a timeout
+    past = _MAX_HORIZON + 1
+    if field == "generate":
+        args = ["-c", f"from nextsym import *\ngenerate(IIDProcess(Alphabet('01'), (0.5, 0.5)), 1, {past})"]
+        want = f"ValueError: horizon must be <= {_MAX_HORIZON}, got {past}\n"
     else:
-        if field.startswith(("experiment.", "process.", "schedules.")):
-            command, doc = ["simulate", "--out", str(tmp_path / "out")], json.loads(json.dumps(MARKOV_DOC))
-            doc["experiment"]["eval_grid"] = [1, 512]
-            doc["experiment"]["epsilons"] = [0.05, 0.1]
-        else:
-            command, doc = ["lemmas"], TestLemmas().lemmas_doc()
-        if (field, value) == ("resampling.cases[0].block_len", 3):
-            doc["process"] = {"kind": "iid", "alphabet": 41, "probs": [1 / 41] * 41}
-        if field in ("schedules.K.value", "schedules.J.value"):
-            doc["schedules"] = {field.split(".")[1]: {"kind": "constant"}}
-        if field == "schedules.J.coeff":
-            doc["schedules"] = {"J": {"kind": "linear"}}
-        *parents, key = re.sub(r"\[(\d+)\]", r".\1", field).split(".")
-        target = doc
-        for name in parents:
-            target = target[int(name)] if name.isdigit() else target.setdefault(name, {})
-        target[int(key) if key.isdigit() else key] = value
-        argv = [*command, "--config", write_config(tmp_path, doc)]
-    assert main(argv) == 2
+        args = ["-m", "nextsym", *_argv(tmp_path, field, past)]
+        want = f"error: {field} must be <= {_MAX_HORIZON}, got {past}\n"
+    cap = partial(resource.setrlimit, resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120, preexec_fn=cap)
+    assert (proc.returncode, proc.stdout, proc.stderr[-len(want) :]) == (1 if field == "generate" else 2, "", want)
+
+
+def _rejected(tmp_path, capsys, field, value, doc=None):
+    """The stderr of the command run with ``_argv``, after checking that it
+    exited 2 before any output."""
+    assert main(_argv(tmp_path, field, value, doc)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""  # rejected before any check ran
-    assert captured.err.startswith(f"error: {field} must be")
+    return captured.err
+
+
+def _argv(tmp_path, field, value, doc=None):
+    """The command line whose input has ``field`` set to ``value``: a config
+    field is set in ``doc``, else in the simulate or lemmas document its
+    section belongs to."""
+    if field == "--workers":
+        cfg = write_config(tmp_path, MARKOV_DOC)
+        return ["simulate", "--config", cfg, "--out", str(tmp_path / "out"), field, str(value)]
+    if field.startswith("--"):
+        return ["verify", field, str(value)]
+    if doc is not None:
+        command = ["lemmas"]
+    elif field.startswith(("experiment.", "process.", "schedules.")):
+        command, doc = ["simulate", "--out", str(tmp_path / "out")], json.loads(json.dumps(MARKOV_DOC))
+        doc["experiment"]["eval_grid"] = [1, 512]
+        doc["experiment"]["epsilons"] = [0.05, 0.1]
+    else:
+        command, doc = ["lemmas"], TestLemmas().lemmas_doc()
+    if (field, value) == ("resampling.cases[0].block_len", 3):
+        doc["process"] = {"kind": "iid", "alphabet": 41, "probs": [1 / 41] * 41}
+    if field in ("schedules.K.value", "schedules.J.value"):
+        doc["schedules"] = {field.split(".")[1]: {"kind": "constant"}}
+    if field == "schedules.J.coeff":
+        doc["schedules"] = {"J": {"kind": "linear"}}
+    if field == "experiment.payoff.values":
+        doc["experiment"]["payoff"] = {"kind": "table"}
+    *parents, key = re.sub(r"\[(\d+)\]", r".\1", field).split(".")
+    target = doc
+    for name in parents:
+        target = target[int(name)] if name.isdigit() else target.setdefault(name, {})
+    target[int(key) if key.isdigit() else key] = value
+    return [*command, "--config", write_config(tmp_path, doc)]
 
 
 @pytest.mark.parametrize("command", ["simulate", "lemmas", "estimate"])

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nextsym.config import ConfigError, build_experiment, build_lemma_plan, build_process, build_schedules
+from nextsym.processes import _MAX_HORIZON
 
 SIMULATE_DOCS = [
     {
@@ -40,31 +41,41 @@ SIMULATE_DOCS = [
     },
 ]
 
-LEMMAS_DOC = {
-    "process": {"kind": "iid", "alphabet": "01", "probs": [0.5, 0.5]},
-    "resampling": {"cases": [{"k": 2, "j": 1, "n": 60, "block_len": 2}], "replicates": 120, "base_seed": 7},
-    "divergence": {"horizon": 2048, "replicates": 10, "base_seed": 8,
-                   "schedules": {"K": {"kind": "log", "coeff": 0.25}, "J": {"kind": "sqrt"}}},
-    "return_time": {"block": "1", "window": 50, "threshold": 10, "replicates": 500, "base_seed": 9},
-}
+LEMMA_DOCS = [  # the divergence check's schedules in its own section, then at the top level
+    {
+        "process": {"kind": "iid", "alphabet": "01", "probs": [0.5, 0.5]},
+        "resampling": {"cases": [{"k": 2, "j": 1, "n": 60, "block_len": 2}], "replicates": 120, "base_seed": 7},
+        "divergence": {"horizon": 2048, "replicates": 10, "base_seed": 8,
+                       "schedules": {"K": {"kind": "log", "coeff": 0.25}, "J": {"kind": "sqrt"}}},
+        "return_time": {"block": "1", "window": 50, "threshold": 10, "replicates": 500, "base_seed": 9},
+    },
+    {
+        "process": {"kind": "markov", "alphabet": "abc", "order": 1,
+                    "transition": [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]},
+        "schedules": {"K": {"kind": "constant", "value": 4}, "J": {"kind": "linear", "coeff": 0.01}},
+        "resampling": {"cases": [{"k": 2, "j": 1, "n": 60, "block_len": 2}], "replicates": 120},
+        "divergence": {"horizon": 2048, "replicates": 10},
+        "return_time": {"block": ["c", "a"], "window": 50, "threshold": 10, "replicates": 500},
+    },
+]
 
-# the range each check accepts for a lemma field (no upper end when None)
+# the range each check accepts for a lemma field (no upper end when None); every draw ends by _MAX_HORIZON
 LEMMA_RANGES = {
     ("resampling", "cases", 0, "k"): (1, 61),  # k <= n + 1
     ("resampling", "cases", 0, "j"): (1, None),
-    ("resampling", "cases", 0, "n"): (1, None),  # n >= k - 1
+    ("resampling", "cases", 0, "n"): (1, _MAX_HORIZON - 1),  # n >= k - 1; the draw ends at n + block_len - 1
     ("resampling", "cases", 0, "block_len"): (1, 3),
     ("resampling", "replicates"): (1, None),
-    ("divergence", "horizon"): (1, None),
+    ("divergence", "horizon"): (1, _MAX_HORIZON),
     ("divergence", "replicates"): (1, None),
-    ("return_time", "window"): (1, None),
+    ("return_time", "window"): (1, _MAX_HORIZON - 1),  # the draw ends at window + len(block) - 1
     ("return_time", "threshold"): (1, None),
     ("return_time", "replicates"): (1, None),
 }
 
 # the range resolved() accepts for an experiment field; the documents with an eval_grid have horizon 512
 EXPERIMENT_RANGES = {
-    ("experiment", "horizon"): (1, None),
+    ("experiment", "horizon"): (1, _MAX_HORIZON),
     ("experiment", "replicates"): (1, None),
     ("experiment", "workers"): (1, None),
     ("experiment", "base_seed"): (0, 2**64 - 1),
@@ -116,7 +127,7 @@ def _parse_lemmas(doc):
 
 
 SIMULATE_CASES = [(doc, path) for doc in SIMULATE_DOCS for path in _paths(doc)]
-LEMMA_PATHS = list(_paths(LEMMAS_DOC))
+LEMMA_CASES = [(doc, path) for doc in LEMMA_DOCS for path in _paths(doc)]
 
 
 def _parses_or_config_error(parse, doc) -> bool:
@@ -135,7 +146,8 @@ def _assert_in_range(value, low, high):
 def test_unmodified_documents_parse():
     for doc in SIMULATE_DOCS:
         _parse_simulate(doc)
-    _parse_lemmas(LEMMAS_DOC)
+    for doc in LEMMA_DOCS:
+        _parse_lemmas(doc)
 
 
 @settings(max_examples=500, deadline=None)
@@ -147,9 +159,9 @@ def test_simulate_field_mutation_parses_or_raises_config_error(case, value):
 
 
 @settings(max_examples=500, deadline=None)
-@given(path=st.sampled_from(LEMMA_PATHS), value=st.sampled_from(VALUES))
-def test_lemmas_field_mutation_parses_or_raises_config_error(path, value):
-    doc = _replaced(LEMMAS_DOC, path, value)
-    if _parses_or_config_error(_parse_lemmas, doc) and path in LEMMA_RANGES:
+@given(case=st.sampled_from(LEMMA_CASES), value=st.sampled_from(VALUES))
+def test_lemmas_field_mutation_parses_or_raises_config_error(case, value):
+    doc, path = case
+    if _parses_or_config_error(_parse_lemmas, _replaced(doc, path, value)) and path in LEMMA_RANGES:
         _assert_in_range(value, *LEMMA_RANGES[path])  # accepted only within the range its check takes
 

@@ -31,6 +31,7 @@ from nextsym import harness
 from nextsym.config import build_schedules
 from nextsym.estimator import ConstantSchedule, LinearJ, LogK, SqrtJ, probe
 from nextsym.harness import _wilson_halfwidth, default_eval_grid
+from nextsym.processes import _MAX_HORIZON
 from nextsym.verify import verify_equivalence
 
 BINARY = Alphabet("01")
@@ -460,7 +461,7 @@ INTEGER_ARGUMENTS = [
     pytest.param("threshold", lambda v: check_return_time_bound(COIN, 8, v, 2, (1,)), id="return-threshold"),
     pytest.param("replicates", lambda v: check_return_time_bound(COIN, 8, 1, v, (1,)), id="return-reps"),
     pytest.param("block[0]", lambda v: check_return_time_bound(COIN, 8, 1, 2, (v,)), id="return-block"),
-    pytest.param("ConstantSchedule value", ConstantSchedule, id="ConstantSchedule"),
+    pytest.param("value", ConstantSchedule, id="ConstantSchedule"),
     pytest.param("base", lambda v: LogK(v, 0.5), id="LogK"),
     pytest.param("alphabet_size", Schedules.default, id="Schedules.default"),
     pytest.param("order", lambda v: MarkovProcess(BINARY, v, FLIP.rows), id="MarkovProcess"),
@@ -480,8 +481,45 @@ INTEGER_ARGUMENTS = [
 @pytest.mark.parametrize("field, call", INTEGER_ARGUMENTS)
 def test_integer_arguments_refuse_floats_and_bools(field, call, value):
     # a float was truncated, escaped as a bare TypeError or failed only at first use; True ran as 1
-    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+    with pytest.raises(ValueError, match="^" + re.escape(f"{field} must be an integer, got {value!r}")):
         call(value)
+
+
+OUT_OF_RANGE_ARGUMENTS = [
+    pytest.param("value must be in 0..4611686018427387904, got -3", lambda: ConstantSchedule(-3),
+                 id="ConstantSchedule-negative"),
+    pytest.param("value must be in 0..4611686018427387904, got 1180591620717411303424",
+                 lambda: ConstantSchedule(2**70), id="ConstantSchedule-past-int64"),
+    pytest.param("values must be keyed by alphabet symbols, got unknown symbols ['2']",
+                 lambda: PayoffFunction.from_map(BINARY, {"0": 1, "1": 0, "2": 5}), id="from_map-unknown-token"),
+]
+
+
+@pytest.mark.parametrize("message, call", OUT_OF_RANGE_ARGUMENTS)
+def test_out_of_range_arguments_are_refused(message, call):
+    # ConstantSchedule(-3)(5) returned -3, ConstantSchedule(2**70).values(1, 4) raised a bare OverflowError,
+    # and from_map dropped a token that names no symbol
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "message, check",
+    [
+        ("block_len must be small enough that 41^block_len <= 65536, got 3",
+         lambda spec: check_lemma_resampling(spec, 1, 1, 10, 3000, block_len=3)),
+        ("schedules.K must be small enough that 41^K(horizon) <= 65536, got K(64) = 3",
+         lambda spec: check_kappa_divergence(spec, 64, 100, Schedules(K=ConstantSchedule(3), J=SqrtJ()))),
+    ],
+    ids=["resampling", "divergence"],
+)
+def test_block_space_is_refused_before_any_draw(monkeypatch, message, check):
+    # the resampling check drew all 3,000 replicates before its block law raised a bare "block space too large"
+    draws = []
+    monkeypatch.setattr(harness, "generate", lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        check(IIDProcess(Alphabet.of_size(41), [1 / 41] * 41))
+    assert draws == []
 
 
 def _epsilons(values):
@@ -530,6 +568,6 @@ def test_number_arguments_refuse_strings_bools_and_non_finite(message, call, val
 
 
 def test_horizon_past_the_float_range_is_refused_with_a_payoff():
-    # 2 * max|v| * (horizon + 1) raised OverflowError: int too large to convert to float
-    with pytest.raises(ValueError, match="payoff.values must be small enough"):
+    # 2 * max|v| * (horizon + 1) raised OverflowError: int too large to convert to float; no draw is that long
+    with pytest.raises(ValueError, match=re.escape(f"horizon must be <= {_MAX_HORIZON}, got {10**400}")):
         ExperimentConfig(spec=COIN, horizon=10**400, replicates=1, payoff=IND1).resolved()

@@ -186,7 +186,7 @@ class TestNonIntegerValuesRefused:
     truncates it while another compares it as a float."""
 
     def test_constant_schedule(self):
-        with pytest.raises(ValueError, match="ConstantSchedule value must be an integer, got 2.5"):
+        with pytest.raises(ValueError, match=r"^value must be an integer, got 2\.5$"):
             ConstantSchedule(2.5)
         assert type(ConstantSchedule(np.int64(3)).value) is int
 

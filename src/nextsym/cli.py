@@ -24,6 +24,7 @@ from . import __version__
 from .config import (
     ConfigError,
     _integer,
+    _prefixed,
     build_alphabet,
     build_experiment,
     build_lemma_plan,
@@ -194,7 +195,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cases, max_n = _integer(args.cases, "--cases", 1), _integer(args.max_n, "--max-n", 1)
+    from .verify import _max_n
+
+    cases, max_n = _integer(args.cases, "--cases", 1), _prefixed("", _max_n, args.max_n, "--max-n")
     report = verify_equivalence(cases=cases, max_n=max_n, seed=_integer(args.seed, "--seed", 0, MAX_SEED))
     if report.ok:
         print(

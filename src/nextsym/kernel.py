@@ -15,10 +15,10 @@ over the earlier chunks is the only count carried from chunk to chunk; its
 total is lambda there.  Blocks are numbered one length at a time: the
 length-k block ending at e is keyed by (number of the length-(k-1) block
 ending at e-1) * |A| + X_e, and a dense lookup per length turns keys into
-numbers.  Within a chunk the ends of each block are found by one stable
-sort of the keys.  A chunk skips what none of its rows uses: lambda above
-its largest cap, the numbers of the longest length, and the row scatter
-when every row selects one length.
+numbers.  lambda_k never grows with k, so selection runs from the chunk's
+longest usable length down, and a length is sorted, to find each block's
+ends within the chunk, only while some row that may select it is unsettled.
+Every other length adds its chunk to the carried counts by one bincount.
 
 K and J come as exact arrays (:func:`schedule_values`).  Results equal the
 scanning evaluator and the streaming index bit for bit;
@@ -75,11 +75,17 @@ def schedule_values(fn: Callable[[int], int], lo: int, hi: int) -> np.ndarray:
     return np.fromiter(map(min, checked, repeat(SCHEDULE_CAP)), dtype=np.int64, count=hi - lo)
 
 
-def _sortable(keys: np.ndarray) -> np.ndarray:
-    """Keys as uint16 when they fit, where numpy's stable sort is a radix sort."""
-    if int(keys.max()) < 1 << 16:
-        return keys.astype(np.uint16)
-    return keys
+def _sortable(values: np.ndarray) -> np.ndarray:
+    """Values as uint16 when they fit, where numpy's stable sort is a radix sort."""
+    if int(values.max()) < 1 << 16:
+        return values.astype(np.uint16)
+    return values
+
+
+# Successor cells per chunk row up to which a length is counted by bincount, whose cost
+# follows the cells: per 16,384 random binary ends it took 35 us over 4 blocks, 1.2 ms
+# at 64 cells a row and 2.7 ms at 128; the sorted path 0.4 ms over 4 and 1.9 ms at both.
+_DENSE_CELLS_PER_ROW = 64
 
 
 class _Blocks:
@@ -94,8 +100,8 @@ class _Blocks:
 
     ``succ[i, s]`` counts the ends of block i before the current chunk that
     are followed by symbol s; every such end has a successor, so the row
-    total is their count.  :meth:`scan` groups a chunk's ends by block and
-    :meth:`finish` takes that grouping back once kappa is known.
+    total is their count.  :meth:`group` groups a chunk's ends by block for
+    lambda and :meth:`finish`; :meth:`count` counts them without a sort.
     """
 
     __slots__ = ("size", "lookup", "succ", "tail")
@@ -106,11 +112,14 @@ class _Blocks:
         self.succ = np.zeros((1, size), np.int64)
         self.tail = 0  # number of the block ending just before the chunk
 
-    def _number(self, uniq: np.ndarray) -> np.ndarray:
-        """Numbers of the ascending distinct keys ``uniq``; unseen keys get the next ones."""
-        top = int(uniq[-1])
+    def _grow(self, top: int) -> None:
+        """Room in the lookup for keys up to ``top``."""
         if top >= len(self.lookup):  # grown by doubling, so growth stays amortised
             self.lookup = np.pad(self.lookup, (0, max(top + 1 - len(self.lookup), len(self.lookup))))
+
+    def _number(self, uniq: np.ndarray) -> np.ndarray:
+        """Numbers of the ascending distinct keys ``uniq``; unseen keys get the next ones."""
+        self._grow(int(uniq[-1]))
         ids = self.lookup[uniq]
         fresh = ids == 0
         count = int(np.count_nonzero(fresh))
@@ -120,27 +129,32 @@ class _Blocks:
             self.succ = np.concatenate([self.succ, np.zeros((count, self.size), np.int64)])
         return ids
 
-    def scan(self, keys: np.ndarray, counted: bool, numbered: bool) -> tuple:
-        """The grouping of the chunk's ends by block, for :meth:`finish`, and
-        at each end, in order, lambda if ``counted`` and the block number if
-        ``numbered`` (which moves ``tail``); None where not asked for."""
-        order = np.argsort(_sortable(keys), kind="stable")
-        sorted_keys = keys[order]
-        new = np.empty(len(keys), dtype=bool)
+    def number(self, keys: np.ndarray) -> np.ndarray:
+        """Numbers of ``keys`` through the lookup, once :meth:`_number` has numbered the unseen ones."""
+        self._grow(int(keys.max()))
+        ids = self.lookup[keys]
+        if np.count_nonzero(ids == 0):
+            self.group(keys[ids == 0], True)  # one sort of the unseen keys, numbered in ascending order
+            ids = self.lookup[keys]
+        return ids
+
+    def group(self, values: np.ndarray, keyed: bool) -> tuple:
+        """The chunk's ends grouped by block through one stable sort of ``values``, block keys
+        if ``keyed`` (numbered from the sort) or numbers: order, run starts, runs, run numbers."""
+        order = np.argsort(_sortable(values), kind="stable")
+        ordered = values[order]
+        new = np.empty(len(values), dtype=bool)
         new[0] = True
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
         starts = np.flatnonzero(new)
-        group = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(keys)))
-        gids = self._number(sorted_keys[starts])
-        ids = lam = None
-        if counted:
-            lam = np.empty(len(keys), np.int64)
-            lam[order] = (self.succ.take(gids, axis=0).sum(axis=1) - starts)[group] + np.arange(len(keys))
-        if numbered:
-            ids = np.empty(len(keys), np.int64)
-            ids[order] = gids[group]
-            self.tail = int(ids[-1])
-        return ids, lam, (order, starts, group, gids)
+        group = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(values)))
+        return order, starts, group, self._number(ordered[starts]) if keyed else ordered[starts]
+
+    def count(self, ids: np.ndarray, succ: np.ndarray) -> None:
+        """Add the chunk's ends, numbered ``ids`` and followed by ``succ``, to the counts."""
+        if self.succ.size > _DENSE_CELLS_PER_ROW * len(ids):
+            return self.finish(self.group(ids, False), succ, ids[:0], None)
+        self.succ += np.bincount(ids * self.size + succ, minlength=self.succ.size).reshape(-1, self.size)
 
     def finish(self, grouping: tuple, succ: np.ndarray, at: np.ndarray, hist: np.ndarray) -> None:
         """Write the successor counts of the earlier ends of the block into
@@ -204,8 +218,7 @@ def replay(seq: np.ndarray, size: int, schedules: Schedules) -> Iterator[Replaye
 
     K is evaluated once per position before the replay, to find the longest
     block length any position, and any row of each chunk, may match; J once
-    per position as the chunk comes.  Every length is grouped in every chunk
-    for the carried counts; lambda and the selection skip longer lengths.
+    per position as the chunk comes.
     """
     seq = np.asarray(seq)
     total = len(seq)
@@ -225,18 +238,30 @@ def replay(seq: np.ndarray, size: int, schedules: Schedules) -> Iterator[Replaye
         matches = np.zeros(length, np.int64)
         top = int(cap.max())  # no row of the chunk selects a longer length
         keys = x  # every length-0 block is number 0
-        groupings = []
-        for k, level in enumerate(levels, 1):
-            before = level.tail
-            ids, lam, grouping = level.scan(keys, k <= top, k < k_max)  # the last length's numbers key nothing
-            groupings.append(grouping)
-            if k <= top:
-                ok = (cap >= k) & (lam >= need)
-                np.copyto(kappa, k, where=ok)
-                np.copyto(matches, lam, where=ok)
-            if k < k_max:
-                keys = np.concatenate(([before], ids[:-1])) * size + x
-        hist = np.zeros((length, size), np.int64)
-        for k, (level, grouping) in enumerate(zip(levels, groupings), 1):
-            level.finish(grouping, succ, np.flatnonzero(kappa == k), hist)
+        numbers = {}
+        for k, level in enumerate(levels[:-1], 1):  # by lookup: their numbers key the next length
+            ids = numbers[k] = level.number(keys)
+            keys = np.concatenate(([level.tail], ids[:-1])) * size + x
+            level.tail = int(ids[-1])
+        if top < k_max:  # else the longest length is sorted on its keys and numbered from the sort
+            numbers[k_max] = levels[-1].number(keys)
+        selected = []
+        for k in range(k_max, 0, -1):  # lambda_k never grows with k: a settled row keeps its length
+            level = levels[k - 1]
+            candidates = (cap >= k) & (kappa == 0)  # kappa stays 0 until a longer length settles the row
+            if k > top or (k < top and not candidates.any()):
+                level.count(numbers.pop(k), succ)
+                continue
+            grouping = level.group(keys, True) if k == k_max else level.group(numbers.pop(k), False)
+            order, starts, group, gids = grouping  # lambda: the block's ends before the chunk and inside it
+            lam = np.empty(length, np.int64)
+            lam[order] = (level.succ.take(gids, axis=0).sum(axis=1) - starts)[group] + np.arange(length)
+            ok = candidates & (lam >= need)
+            np.copyto(kappa, k, where=ok)
+            np.copyto(matches, lam, where=ok)
+            selected.append((level, grouping, ok))
+            del lam  # freed before hist and finish's temporaries, which set the chunk's peak memory
+        hist = np.zeros((length, size), np.int64)  # allocated after the sorts, so it widens no sort's peak
+        for level, grouping, ok in selected:
+            level.finish(grouping, succ, np.flatnonzero(ok), hist)
         yield Replayed(lo, kappa, matches, hist)

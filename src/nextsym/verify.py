@@ -36,6 +36,7 @@ __all__ = ["EquivalenceReport", "verify_equivalence"]
 _ALPHABET_SIZES = (2, 3, 4)
 _FIELDS = ("context_len", "matches", "histogram")
 _BLOCK_CELLS = 1 << 19  # rows x length per row block: 262 prefixes of a 2,000-symbol case
+_MAX_N = 1 << 20  # longest case; see verify_equivalence
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,14 @@ class EquivalenceReport:
     cases: int
     prefixes_checked: int
     counterexample: dict | None
+
+
+def _max_n(value, field: str) -> int:
+    """``value`` as a longest case length in ``1.._MAX_N``, named ``field``."""
+    value = _integer(value, field, 1)
+    if value > _MAX_N:
+        raise ValueError(f"{field} must be <= {_MAX_N}, got {value}")
+    return value
 
 
 def verify_equivalence(
@@ -58,8 +67,12 @@ def verify_equivalence(
     ``estimator_factory`` exists so the suite can be pointed at a broken
     build and demonstrate that it reports a counterexample; ``schedules_for``
     maps an alphabet size to custom schedules (defaults otherwise).
+
+    ``max_n`` is at most ``_MAX_N`` = 2^20: each route holds (2 + |A|) int64
+    probe fields per prefix of a case, 48 MiB a route at 2^20 prefixes and
+    |A| = 4, where a length no run reaches would ask for terabytes.
     """
-    cases, max_n = _integer(cases, "cases", 1), _integer(max_n, "max_n", 1)
+    cases, max_n = _integer(cases, "cases", 1), _max_n(max_n, "max_n")
     prefixes = 0
     for case in range(cases):
         rng = np.random.Generator(np.random.PCG64(derive_seed(seed, case)))

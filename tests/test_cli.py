@@ -608,6 +608,22 @@ def test_horizon_past_the_bound_is_refused(tmp_path, field):
     assert (proc.returncode, proc.stdout, proc.stderr[-len(want) :]) == (1 if field == "generate" else 2, "", want)
 
 
+@pytest.mark.parametrize("route", ["library", "cli"])
+def test_verify_length_past_the_bound_is_refused(route):
+    # such a max_n failed allocating terabytes of probe arrays, so the child runs with its address space capped
+    past, bound = 10**12, verify._MAX_N
+    if route == "library":
+        args = ["-c", f"from nextsym.verify import verify_equivalence\nverify_equivalence(cases=1, max_n={past})"]
+        want = f"ValueError: max_n must be <= {bound}, got {past}\n"
+    else:
+        args = ["-m", "nextsym", "verify", "--cases", "1", "--max-n", str(past)]
+        want = f"error: --max-n must be <= {bound}, got {past}\n"
+    cap = partial(resource.setrlimit, resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120, preexec_fn=cap)
+    assert (proc.returncode, proc.stdout, proc.stderr[-len(want) :]) == (1 if route == "library" else 2, "", want)
+    assert verify._max_n(bound, "max_n") == bound
+
+
 def _rejected(tmp_path, capsys, field, value, doc=None):
     """The stderr of the command run with ``_argv``, after checking that it
     exited 2 before any output."""

@@ -112,6 +112,78 @@ def test_whole_chunk_selecting_one_length_beside_partial_chunks():
     _assert_probes(data, 3, schedules, kappa, matches, hist)
 
 
+def test_count_only_length_is_sorted_once_a_row_may_select_it():
+    # K steps from 1 to 2 where chunk 4 starts and from 2 to 3 at n = 100, inside chunk 6:
+    # chunks 0-3 only count lengths 2 and 3, chunks 4-5 length 3, and later chunks select them
+    schedules = Schedules(K=lambda n: 1 + (n >= 64) + (n >= 100), J=ConstantSchedule(2))
+    data = np.random.default_rng(3).integers(0, 2, 200).astype(np.uint8)
+    kappa, matches, hist = _replayed(data, 2, schedules, 16)
+    assert kappa[:64].max() == 1 and kappa[64] == 2 and kappa[99] == 2 and kappa[100] == 3
+    _assert_probes(data, 2, schedules, kappa, matches, hist)
+
+
+def test_rows_fall_through_several_lengths():
+    # J(n) = 1 + n // 10 sits between lambda_4 and lambda_2 (about n / 16 and n / 4), so
+    # rows unsettled at length 4 settle at 3 or fall through to 2 in the same chunk
+    schedules = Schedules(K=ConstantSchedule(4), J=lambda n: 1 + n // 10)
+    data = np.random.default_rng(5).integers(0, 2, 320).astype(np.uint8)
+    kappa, matches, hist = _replayed(data, 2, schedules, 32)
+    assert set(kappa[64:96].tolist()) == {2, 3, 4}
+    _assert_probes(data, 2, schedules, kappa, matches, hist)
+
+
+def test_chunk_where_every_row_abstains_still_counts_its_blocks():
+    # no row of chunk 2 (n = 32..47) reaches J, so every length is sorted and none selected;
+    # its ends must still join the counts the later chunks match against
+    schedules = Schedules(K=ConstantSchedule(3), J=lambda n: 10**6 if 32 <= n < 48 else 2)
+    data = np.random.default_rng(9).integers(0, 3, 120).astype(np.uint8)
+    kappa, matches, hist = _replayed(data, 3, schedules, 16)
+    assert not kappa[32:48].any() and kappa[48:].min() > 0
+    _assert_probes(data, 3, schedules, kappa, matches, hist)
+
+
+def test_blocks_first_seen_in_a_count_only_chunk():
+    # K = 1 below n = 16, so chunk 1 only counts length 2; its blocks (2, 2) and (2, 0) are
+    # new there, twice each, and chunk 2 must match them under one number each
+    chunks = [[0, 1] * 4, [2, 2, 2, 0, 2, 0, 1, 1], [2, 2, 2, 0, 2, 0, 2, 2], [1, 2, 0, 2, 2, 1, 0, 0]]
+    data = np.array(sum(chunks, []), np.uint8)
+    schedules = Schedules(K=lambda n: 1 + (n >= 16), J=ConstantSchedule(2))
+    kappa, matches, hist = _replayed(data, 3, schedules, 8)
+    assert (kappa[17], matches[17], hist[17].tolist()) == (2, 2, [1, 0, 1])  # ends 9 and 10
+    _assert_probes(data, 3, schedules, kappa, matches, hist)
+
+
+def test_large_block_counts_take_the_sorted_path(monkeypatch):
+    # no successor cell allowed per row: every length no row selects is counted through its sort
+    monkeypatch.setattr(kernel, "_DENSE_CELLS_PER_ROW", 0)
+    schedules = Schedules(K=lambda n: 1 + n // 40, J=ConstantSchedule(2))
+    data = np.random.default_rng(13).integers(0, 2, 200).astype(np.uint8)
+    kappa, matches, hist = _replayed(data, 2, schedules, 16)
+    assert kappa.max() >= 3
+    _assert_probes(data, 2, schedules, kappa, matches, hist)
+
+
+def test_one_sort_per_chunk_when_rows_settle_at_the_longest_length(monkeypatch):
+    # sim-markov2's shape: K steps from 1 to 2 where a chunk starts and J stays small, so past
+    # the first chunk, whose keys are all new and sorted to be numbered, a chunk sorts only its
+    # longest usable length and counts the other by one bincount
+    spec = MarkovProcess(Alphabet("01"), 2, ((0.9, 0.1), (0.6, 0.4), (0.4, 0.6), (0.1, 0.9)))
+    data = generate(spec, 17, 511).seq.as_array()  # X_0..X_511
+    schedules = Schedules(K=lambda n: 1 + (n >= 256), J=ConstantSchedule(2))
+    sorted_rows = []
+    sortable = kernel._sortable
+    monkeypatch.setattr(kernel, "_sortable", lambda values: sorted_rows.append(len(values)) or sortable(values))
+    monkeypatch.setattr(kernel, "CHUNK", 64)
+    parts = kernel.replay(data, 2, schedules)
+    first = next(parts)
+    sorted_rows.clear()
+    parts = [first, *parts]
+    assert sorted_rows == [64] * 7
+    kappa, matches, hist = (np.concatenate(field) for field in list(zip(*parts))[1:])
+    assert kappa[:256].max() == 1 and kappa[256:].min() == 2
+    _assert_probes(data, 2, schedules, kappa, matches, hist)
+
+
 def test_deep_cap_sorts_wide_keys(monkeypatch):
     # K = 20 over 2^17 + 5 random binary symbols: keys reach 2^16 and up, so the int64 sort
     # and the lookup's growth are exercised over the default 9 chunks
